@@ -18,6 +18,13 @@ Representation conventions, used everywhere in the package:
   with the last component varying fastest.  The position of an element in
   this order is its *index*, which is what array types store.
 
+Index tables are the single arithmetic core.  ``add_table``, ``neg_table``,
+``sub_table`` and, for fields, ``mul_table`` are cached read-only arrays
+over element indices; constructions, projections and verifiers all work on
+them.  ``GfElem`` and the scalar ``Field.add``/``neg``/``mul`` methods are
+views for the API and file edges, where single elements are parsed, printed
+or compared.
+
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 """
@@ -33,7 +40,8 @@ import numpy as np
 
 __all__ = [
     "MAX_FIELD_ORDER",
-    "is_prime",
+    "prime_power",
+    "digits",
     "poly_text",
     "poly_parse",
     "poly_mul",
@@ -51,6 +59,7 @@ __all__ = [
     "group_add",
     "group_sub",
     "add_table",
+    "mul_table",
     "neg_table",
     "sub_table",
     "Projection",
@@ -73,15 +82,31 @@ __all__ = [
 MAX_FIELD_ORDER = 256
 
 
-def is_prime(n: int) -> bool:
+def prime_power(n: int) -> tuple[int, int] | None:
+    """``(p, u)`` with ``n == p**u`` for a prime ``p``, or None."""
     if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+        return None
+    p = 2
+    while p * p <= n and n % p:
+        p += 1
+    if n % p:
+        p = n  # no factor up to the square root: n is prime
+    u = 0
+    while n % p == 0:
+        n //= p
+        u += 1
+    return (p, u) if n == 1 else None
+
+
+def digits(value, p: int, width: int) -> tuple:
+    """The ``width`` lowest base-``p`` digits of ``value``, least significant
+    first.  ``value`` may be an int or an integer array (one digit array
+    each, then)."""
+    out = []
+    for _ in range(width):
+        out.append(value % p)
+        value = value // p
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +119,6 @@ def poly_trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def poly_deg(coeffs: Sequence[int]) -> int:
-    """Degree of a trimmed coefficient tuple; the zero polynomial has -1."""
-    return len(poly_trim(coeffs)) - 1
-
-
-def poly_add(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return poly_trim((_at(a, i) + _at(b, i)) % p for i in range(n))
-
-
-def poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return poly_trim((_at(a, i) - _at(b, i)) % p for i in range(n))
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
@@ -148,10 +158,6 @@ def poly_divmod(
 
 def poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
     return poly_divmod(a, m, p)[1]
-
-
-def _at(c: Sequence[int], i: int) -> int:
-    return c[i] if i < len(c) else 0
 
 
 def poly_text(coeffs: Sequence[int]) -> str:
@@ -217,18 +223,10 @@ def _find_factor(poly: Sequence[int], p: int) -> tuple[int, ...] | None:
     for d in range(1, deg // 2 + 1):
         # all monic polynomials of degree d, lowest coefficients first
         for idx in range(p**d):
-            cand = _digits(idx, p, d) + (1,)
+            cand = digits(idx, p, d) + (1,)
             if poly_mod(poly, cand, p) == ():
                 return cand
     return None
-
-
-def _digits(value: int, p: int, width: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(width):
-        out.append(value % p)
-        value //= p
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ class Field:
     irreducible: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
+        if prime_power(self.p) != (self.p, 1):
             raise ValueError(f"characteristic {self.p} is not prime")
         if self.u < 1:
             raise ValueError(f"extension degree must be >= 1, got {self.u}")
@@ -288,7 +286,7 @@ class Field:
         """Element at ``index`` in lexicographic order."""
         if not 0 <= index < self.order:
             raise ValueError(f"element index {index} out of range for GF({self.order})")
-        return GfElem(_digits(index, self.p, self.u))
+        return GfElem(digits(index, self.p, self.u))
 
     def index(self, e: GfElem) -> int:
         self._check(e)
@@ -586,11 +584,9 @@ def add_table(g: Group) -> np.ndarray:
         i = np.arange(n)
         tab = (i[:, None] + i[None, :]) % n
     elif isinstance(g, GaloisGroup):
-        p, u = g.field.p, g.field.u
-        i = np.arange(n)
+        p = g.field.p
         tab = np.zeros((n, n), dtype=np.int64)
-        for k in range(u):
-            dig = (i // p**k) % p
+        for k, dig in enumerate(digits(np.arange(n), p, g.field.u)):
             tab += ((dig[:, None] + dig[None, :]) % p) * p**k
     elif isinstance(g, ProductGroup):
         tab = np.zeros((n, n), dtype=np.int64)
@@ -608,11 +604,67 @@ def add_table(g: Group) -> np.ndarray:
     return tab
 
 
+def _element_digits(f: Field) -> np.ndarray:
+    """(order, u) coefficient matrix of all elements of ``f``, by index."""
+    return np.stack(digits(np.arange(f.order, dtype=np.int32), f.p, f.u), axis=1)
+
+
+def _powers_mod(f: Field, count: int) -> np.ndarray:
+    """(count, u) coefficients of x^k mod the defining polynomial, k < count."""
+    return np.array([f.from_poly((0,) * k + (1,)).coeffs for k in range(count)], dtype=np.int32)
+
+
+def _to_index(coeffs: np.ndarray, p: int) -> np.ndarray:
+    """Element indices of coefficient vectors along the last axis, reduced mod p."""
+    return (coeffs % p) @ p ** np.arange(coeffs.shape[-1], dtype=np.int64)
+
+
+def _scale_table(f: Field) -> np.ndarray:
+    """(p, order) indices of the multiples ``c * e``, c in Z_p, e in ``f``."""
+    return _to_index(np.arange(f.p, dtype=np.int32)[:, None, None] * _element_digits(f), f.p)
+
+
+@lru_cache(maxsize=None)
+def mul_table(f: Field) -> np.ndarray:
+    """Index-level multiplication table of ``f`` as a read-only (order, order)
+    array.  ``a * b`` is built as ``sum a_i (x^i b)``, with every ``x^i b``
+    found by repeated multiplication by x, and checked over every pair
+    against products assembled from the reductions of x^k."""
+    dig = _element_digits(f)
+    add, scale = add_table(GaloisGroup(f)), _scale_table(f)
+    low = np.asarray(f.irreducible[:-1], dtype=np.int32)
+    tab = np.zeros((f.order, f.order), dtype=np.int64)
+    xb = dig  # coefficients of x^i * b, one row per b
+    for i in range(f.u):
+        tab = add[tab, scale[dig[:, i, None], _to_index(xb, f.p)]]
+        # times x: shift up, then replace x^u by x^u - f
+        xb = (np.pad(xb[:, :-1], ((0, 0), (1, 0))) - xb[:, -1:] * low) % f.p
+    _check_mul_table(f, tab)
+    tab.setflags(write=False)
+    return tab
+
+
+def _check_mul_table(f: Field, tab: np.ndarray) -> None:
+    """Raise unless ``tab[a, b]`` is ``sum a_i b_j (x^(i+j) mod f)`` for all a, b."""
+    dig = _element_digits(f)
+    add, scale = add_table(GaloisGroup(f)), _scale_table(f)
+    xk = _to_index(_powers_mod(f, 2 * f.u - 1), f.p)
+    ref = np.zeros_like(tab)
+    for i in range(f.u):
+        for j in range(f.u):
+            ref = add[ref, scale[dig[:, i, None] * dig[:, j] % f.p, xk[i + j]]]
+    bad = np.argwhere(tab != ref)
+    if bad.size:
+        a, b = bad[0]
+        raise RuntimeError(
+            f"GF({f.order}) multiplication table is wrong at indices ({a}, {b}): "
+            f"{tab[a, b]} instead of {ref[a, b]}"
+        )
+
+
 @lru_cache(maxsize=None)
 def neg_table(g: Group) -> np.ndarray:
-    tab = np.fromiter(
-        (g.index(g.neg(g.element(i))) for i in range(g.order)), dtype=np.int64
-    )
+    tab = np.argmax(add_table(g) == 0, axis=1).astype(np.int64)
     tab.setflags(write=False)
     return tab
 
@@ -645,9 +697,6 @@ class Projection:
     target: Group
     table: tuple[int, ...]
     detail: tuple = ()
-
-    def apply_index(self, i: int) -> int:
-        return self.table[i]
 
     def np_table(self) -> np.ndarray:
         arr = np.asarray(self.table, dtype=np.int64)
@@ -697,11 +746,8 @@ def truncation(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Proj
         raise ValueError("truncation requires matching characteristics")
     if f2.u > f1.u:
         raise ValueError("truncation target must not be larger than the source")
-    src, tgt = GaloisGroup(f1), GaloisGroup(f2)
-    table = [
-        f2.index(GfElem(f1.element(i).coeffs[: f2.u])) for i in range(f1.order)
-    ]
-    return _validated("truncation", src, tgt, table, detail=(f2.u,))
+    table = np.arange(f1.order) % f2.order  # the low u2 digits
+    return _validated("truncation", GaloisGroup(f1), GaloisGroup(f2), table, detail=(f2.u,))
 
 
 def modulus(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Projection:
@@ -712,12 +758,8 @@ def modulus(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Project
         raise ValueError("modulus requires matching characteristics")
     if f2.u > f1.u:
         raise ValueError("modulus target must not be larger than the source")
-    src, tgt = GaloisGroup(f1), GaloisGroup(f2)
-    table = [
-        f2.index(f2.from_poly(poly_mod(f1.element(i).coeffs, f2.irreducible, f1.p)))
-        for i in range(f1.order)
-    ]
-    return _validated("modulus", src, tgt, table, detail=(f2.irreducible,))
+    table = _to_index(_element_digits(f1) @ _powers_mod(f2, f1.u), f1.p)
+    return _validated("modulus", GaloisGroup(f1), GaloisGroup(f2), table, detail=(f2.irreducible,))
 
 
 def residue(source: int | ResidueGroup, a: int) -> Projection:

@@ -43,6 +43,7 @@ from .algebra import (
 )
 
 __all__ = [
+    "BundleFormatError",
     "Verdict",
     "LevelArray",
     "NestedPair",
@@ -98,8 +99,30 @@ def _ro(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class LevelArray:
+class _ByContent:
+    """Equality and hashing by content for frozen dataclasses that hold
+    numpy arrays (whose own ``==`` is elementwise).  Subclasses are declared
+    with ``eq=False`` and list what identifies them in ``_content``."""
+
+    def _content(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(self._content())
+
+
+def _array_key(a: np.ndarray) -> tuple:
+    """Hashable content of an array: dtype, shape and bytes."""
+    return (a.dtype.str, a.shape, a.tobytes())
+
+
+@dataclass(frozen=True, eq=False)
+class LevelArray(_ByContent):
     """An n x m matrix of group elements with a per-column alphabet.
 
     ``data`` holds element indices.  ``row_labels`` (indices into
@@ -137,6 +160,9 @@ class LevelArray:
                 raise ValueError("row_labels must be distinct")
             if self.label_group is None:
                 raise ValueError("row_labels given without a label_group")
+
+    def _content(self) -> tuple:
+        return (self.groups, _array_key(self.data), self.row_labels, self.label_group)
 
     @property
     def n_rows(self) -> int:
@@ -202,8 +228,8 @@ class LevelArray:
         return cls.from_rows(groups, rows)
 
 
-@dataclass(frozen=True)
-class NestedPair:
+@dataclass(frozen=True, eq=False)
+class NestedPair(_ByContent):
     """A parent array plus the data singling out its nested child.
 
     ``child_rows`` are ordered, distinct indices into the parent; the child
@@ -233,6 +259,9 @@ class NestedPair:
                     f"column alphabet is {g.describe()}"
                 )
 
+    def _content(self) -> tuple:
+        return (self.parent, self.child_rows, self.projections)
+
     @property
     def child_size(self) -> int:
         return len(self.child_rows)
@@ -258,6 +287,8 @@ def check_oa(a: LevelArray) -> Verdict:
     (i, j) then combination order, is returned as the witness.
     """
     n, m = a.shape
+    if n == 0 or m == 0:
+        return Verdict(False, "oa", f"empty array: {n} rows, {m} columns")
     if m == 1:
         s = a.groups[0].order
         if n % s:
@@ -312,8 +343,10 @@ def check_dm(d: LevelArray) -> Verdict:
     element exactly ``b / g`` times.  Both orderings of each pair are
     counted.
     """
-    g = d.uniform_group()
     b, m = d.shape
+    if b == 0 or m == 0:
+        return Verdict(False, "dm", f"empty array: {b} rows, {m} columns")
+    g = d.uniform_group()
     order = g.order
     if b % order:
         return Verdict(False, "dm", f"{b} rows not divisible by group order {order}")
@@ -497,6 +530,8 @@ def write_array_csv(path: str, a: LevelArray) -> None:
 def read_array_csv(path: str, groups: Sequence[Group]) -> LevelArray:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file, expected a header line")
     header = lines[0].split(",")
     if len(header) != len(groups):
         raise ValueError(
@@ -537,18 +572,33 @@ def save_bundle(prefix: str, obj: LevelArray | NestedPair, kind: str | None = No
     return csv_path, json_path
 
 
+class BundleFormatError(ValueError):
+    """A bundle's files exist but do not hold a valid bundle."""
+
+
 def load_bundle(prefix: str) -> tuple[LevelArray | NestedPair, str | None]:
-    """Inverse of :func:`save_bundle`."""
-    with open(prefix + ".json") as fh:
-        meta = json.load(fh)
-    groups = [group_from_dict(g) for g in meta["columns"]]
-    arr = read_array_csv(prefix + ".csv", groups)
-    if meta.get("label_group"):
-        label_group = group_from_dict(meta["label_group"])
-        labels = tuple(label_group.parse_index(t) for t in meta["row_labels"])
-        arr = LevelArray(arr.groups, arr.data, row_labels=labels, label_group=label_group)
-    nested = meta.get("nested")
-    if nested:
-        projections = [projection_from_dict(p) for p in nested["projections"]]
-        return NestedPair(arr, tuple(nested["child_rows"]), tuple(projections)), meta.get("kind")
-    return arr, meta.get("kind")
+    """Inverse of :func:`save_bundle`.
+
+    A missing or unreadable file raises ``OSError``; any malformed content
+    (bad JSON, wrong sidecar structure, bad CSV text, an object that fails
+    its own validation) raises :class:`BundleFormatError`.
+    """
+    try:
+        with open(prefix + ".json") as fh:
+            meta = json.load(fh)
+        if not isinstance(meta, dict) or not isinstance(meta.get("columns"), list):
+            raise ValueError("sidecar is not a JSON object with a 'columns' list")
+        groups = [group_from_dict(g) for g in meta["columns"]]
+        arr = read_array_csv(prefix + ".csv", groups)
+        if meta.get("label_group"):
+            label_group = group_from_dict(meta["label_group"])
+            labels = tuple(label_group.parse_index(t) for t in meta["row_labels"])
+            arr = LevelArray(arr.groups, arr.data, row_labels=labels, label_group=label_group)
+        nested = meta.get("nested")
+        if nested:
+            projections = [projection_from_dict(p) for p in nested["projections"]]
+            return NestedPair(arr, tuple(nested["child_rows"]), tuple(projections)), meta.get("kind")
+        return arr, meta.get("kind")
+    except (LookupError, TypeError, ValueError) as e:
+        detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise BundleFormatError(f"malformed bundle {prefix}: {detail}") from e

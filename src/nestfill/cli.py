@@ -21,8 +21,10 @@ from .algebra import (
     ResidueGroup,
     field_make,
     identity_projection,
+    prime_power,
 )
 from .arrays import (
+    BundleFormatError,
     LevelArray,
     NestedPair,
     check_dm,
@@ -68,21 +70,10 @@ class IoFailed(Exception):
 
 
 def _field_for_order(s: int):
-    p = 2
-    n = s
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    u = 0
-    while n > 1 and n % p == 0:
-        n //= p
-        u += 1
-    if n != 1:
+    pp = prime_power(s)
+    if pp is None:
         raise UsageError(f"{s} is not a prime power")
-    return field_make(p, u)
+    return field_make(*pp)
 
 
 def _int(params: dict, key: str, default=None) -> int:
@@ -279,8 +270,8 @@ def _load(prefix: str):
         obj, _kind = load_bundle(prefix)
     except OSError as e:
         raise IoFailed(f"cannot read {prefix}.csv/.json: {e}") from None
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        raise IoFailed(f"malformed bundle {prefix}: {e}") from None
+    except BundleFormatError as e:
+        raise IoFailed(str(e)) from None
     return obj
 
 

@@ -33,8 +33,11 @@ from .algebra import (
     Group,
     Projection,
     ResidueGroup,
+    add_table,
+    digits,
     field_make,
     modulus,
+    mul_table,
     residue,
     truncation,
 )
@@ -81,51 +84,49 @@ def _gate(verdict, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Field element bookkeeping.
+# Field element bookkeeping, on element indices.
 # ---------------------------------------------------------------------------
+
+
+def _labels(f: Field, m: int) -> np.ndarray:
+    """Indices of the sequence r_m: the elements of degree at most ``m``."""
+    if m < -1 or m >= f.u:
+        raise ValueError(f"degree bound {m} out of range for GF({f.order})")
+    return np.arange(f.p ** (m + 1))
 
 
 def label_sequence(f: Field, m: int) -> list[GfElem]:
     """All elements of ``f`` of polynomial degree at most ``m``, in
     lexicographic order: the sequence r_m, with p^(m+1) entries.  ``m = -1``
     gives just the zero element."""
-    if m < -1 or m >= f.u:
-        raise ValueError(f"degree bound {m} out of range for GF({f.order})")
-    return [f.element(i) for i in range(f.p ** (m + 1))]
+    return [f.element(int(i)) for i in _labels(f, m)]
 
 
-def _monomial(f: Field, k: int) -> GfElem:
-    if not 0 <= k < f.u:
-        raise ValueError(f"x^{k} is not a reduced element of GF({f.order})")
-    return GfElem(tuple(1 if i == k else 0 for i in range(f.u)))
+def _offsets_sum(f: Field, ks: Sequence[int]) -> int:
+    """Index of the sum of the distinct monomials x^k, k in ``ks``."""
+    if len(set(ks)) != len(ks) or any(not 0 <= k < f.u for k in ks):
+        raise ValueError(f"x^k for k in {list(ks)} are not distinct reduced elements of GF({f.order})")
+    return sum(f.p**k for k in ks)
 
 
-def _offsets_sum(f: Field, ks: Sequence[int]) -> GfElem:
-    e = f.zero
-    for k in ks:
-        e = f.add(e, _monomial(f, k))
-    return e
-
-
-def _shift(f: Field, base: GfElem, seq: Sequence[GfElem]) -> list[GfElem]:
-    return [f.add(base, e) for e in seq]
+def _shift(f: Field, base: int, seq: np.ndarray) -> np.ndarray:
+    return add_table(GaloisGroup(f))[base, seq]
 
 
 def mult_table(f: Field) -> LevelArray:
     """The s x s multiplication table of GF(s), rows and columns labelled by
     all field elements in lexicographic order.  It is a D(s, s, s)."""
-    elems = f.elements()
+    elems = np.arange(f.order)
     return _table_columns(f, elems, elems)
 
 
-def _table_columns(f: Field, cols: Sequence[GfElem], rows: Sequence[GfElem]) -> LevelArray:
+def _table_columns(f: Field, cols: np.ndarray, rows: np.ndarray) -> LevelArray:
     """Selected columns of the multiplication table, rows in the given order."""
     g = GaloisGroup(f)
-    data = [[f.index(f.mul(r, c)) for c in cols] for r in rows]
     return LevelArray(
         (g,) * len(cols),
-        np.asarray(data, dtype=np.int64),
-        row_labels=tuple(f.index(r) for r in rows),
+        mul_table(f)[np.ix_(rows, cols)],
+        row_labels=tuple(rows),
         label_group=g,
     )
 
@@ -151,16 +152,16 @@ def full_factorial(groups: Sequence[Group]) -> LevelArray:
 def _ndm_from_labels(
     f: Field,
     target: Field,
-    col_elems: Sequence[GfElem],
-    row_order: Sequence[GfElem],
-    child_elems: Sequence[GfElem],
+    col_elems: np.ndarray,
+    row_order: np.ndarray,
+    child_elems: np.ndarray,
     what: str,
 ) -> NestedPair:
     d1 = _table_columns(f, col_elems, row_order)
-    pos = {lbl: i for i, lbl in enumerate(d1.row_labels)}
-    child_rows = tuple(pos[f.index(e)] for e in child_elems)
+    pos = np.full(f.order, -1)
+    pos[row_order] = np.arange(len(row_order))
     proj = truncation(f, target)
-    pair = NestedPair(d1, child_rows, (proj,) * len(col_elems))
+    pair = NestedPair(d1, tuple(pos[child_elems]), (proj,) * len(col_elems))
     _gate(check_nested(pair, "ndm"), what)
     return pair
 
@@ -177,34 +178,22 @@ def ndm_theorem1(m: int, field: Field | None = None) -> NestedPair:
     f = field if field is not None else field_make(2, m + 1)
     if (f.p, f.u) != (2, m + 1):
         raise ValueError(f"field must be GF(2^{m + 1})")
-    g = field_make(2, m)
-    r = label_sequence(f, m - 2)
-    offs = [
-        f.zero,
-        _offsets_sum(f, [m]),
-        _offsets_sum(f, [m - 1]),
-        _offsets_sum(f, [m, m - 1]),
-    ]
-    row_order = [e for o in offs for e in _shift(f, o, r)]
-    child = _shift(f, offs[0], r) + _shift(f, offs[3], r)
-    return _ndm_from_labels(f, g, label_sequence(f, 1), row_order, child, f"ndm_theorem1(m={m})")
+    return _clustered_ndm(f, m, 4, [0, 3], 1, f"ndm_theorem1(m={m})")
 
 
-_EIGHT_CLUSTERS = (
-    (),
-    ("m",),
-    ("m-1",),
-    ("m", "m-1"),
-    ("m+1",),
-    ("m+1", "m"),
-    ("m+1", "m-1"),
-    ("m+1", "m", "m-1"),
-)
-
-
-def _cluster_offsets(f: Field, m: int) -> list[GfElem]:
-    degree = {"m": m, "m-1": m - 1, "m+1": m + 1}
-    return [_offsets_sum(f, [degree[t] for t in spec]) for spec in _EIGHT_CLUSTERS]
+def _clustered_ndm(
+    f: Field, m: int, clusters: int, child_clusters: list[int], col_degree: int, what: str
+) -> NestedPair:
+    """Multiplication-table NDM with parent rows r_(m-2) shifted by each
+    cluster offset in turn, in the source article's cluster order; the
+    child takes the listed clusters and collapses onto GF(2^m)."""
+    specs = [[], [m], [m - 1], [m, m - 1]]
+    specs += [[m + 1] + ks for ks in specs]
+    offs = np.array([_offsets_sum(f, ks) for ks in specs[:clusters]])
+    r = _labels(f, m - 2)
+    row_order = _shift(f, offs[:, None], r).ravel()
+    child = _shift(f, offs[child_clusters, None], r).ravel()
+    return _ndm_from_labels(f, field_make(2, m), _labels(f, col_degree), row_order, child, what)
 
 
 def ndm_theorem2(m: int, field: Field | None = None) -> NestedPair:
@@ -218,12 +207,7 @@ def ndm_theorem2(m: int, field: Field | None = None) -> NestedPair:
     f = field if field is not None else field_make(2, m + 2)
     if (f.p, f.u) != (2, m + 2):
         raise ValueError(f"field must be GF(2^{m + 2})")
-    g = field_make(2, m)
-    r = label_sequence(f, m - 2)
-    offs = _cluster_offsets(f, m)
-    row_order = [e for o in offs for e in _shift(f, o, r)]
-    child = _shift(f, offs[0], r) + _shift(f, offs[7], r)
-    return _ndm_from_labels(f, g, label_sequence(f, 1), row_order, child, f"ndm_theorem2(m={m})")
+    return _clustered_ndm(f, m, 8, [0, 7], 1, f"ndm_theorem2(m={m})")
 
 
 #: Defining polynomials for the eight-column family where the catalog
@@ -247,12 +231,7 @@ def ndm_theorem3(m: int, field: Field | None = None) -> NestedPair:
     f = field
     if (f.p, f.u) != (2, m + 2):
         raise ValueError(f"field must be GF(2^{m + 2})")
-    g = field_make(2, m)
-    r = label_sequence(f, m - 2)
-    offs = _cluster_offsets(f, m)
-    row_order = [e for o in offs for e in _shift(f, o, r)]
-    child = [e for idx in (0, 3, 4, 7) for e in _shift(f, offs[idx], r)]
-    return _ndm_from_labels(f, g, label_sequence(f, 2), row_order, child, f"ndm_theorem3(m={m})")
+    return _clustered_ndm(f, m, 8, [0, 3, 4, 7], 2, f"ndm_theorem3(m={m})")
 
 
 #: GF(32) polynomial used by the wide nested families below.  The defining
@@ -275,27 +254,19 @@ def ndm_sec34(variant: str, field: Field | None = None) -> NestedPair:
     if (f.p, f.u) != (2, 5):
         raise ValueError("field must be GF(2^5)")
     g = field_make(2, 2)
-    r0 = label_sequence(f, 0)
-    g1_offsets = [
-        _offsets_sum(f, ks)
-        for ks in [(), (1,), (3,), (3, 1), (4,), (4, 1), (4, 3), (4, 3, 1)]
-    ]
-    x2 = _monomial(f, 2)
-    g1_rows = [e for o in g1_offsets for e in _shift(f, o, r0)]
-    row_order = g1_rows + [f.add(x2, e) for e in g1_rows]
+    r0 = _labels(f, 0)
+    g1_degrees = [(), (1,), (3,), (3, 1), (4,), (4, 1), (4, 3), (4, 3, 1)]
+    x2 = _offsets_sum(f, [2])
+    g1_rows = _shift(f, np.array([_offsets_sum(f, ks) for ks in g1_degrees])[:, None], r0).ravel()
+    row_order = np.concatenate([g1_rows, _shift(f, x2, g1_rows)])
     if variant == "a8cols":
-        cols = label_sequence(f, 2)
-        child_offs = [(), (3, 1), (4,), (4, 3, 1)]
-        child = [e for ks in child_offs for e in _shift(f, _offsets_sum(f, ks), r0)]
+        cols = _labels(f, 2)
+        bases = [_offsets_sum(f, ks) for ks in [(), (3, 1), (4,), (4, 3, 1)]]
     else:
-        cols = label_sequence(f, 3)
+        cols = _labels(f, 3)
         shifted = [(1,), (3,), (4,), (4, 3, 1)]
-        child = []
-        for ks in [(), (1,), (3,), (3, 1), (4,), (4, 1), (4, 3), (4, 3, 1)]:
-            base = _offsets_sum(f, ks)
-            if ks in shifted:
-                base = f.add(base, x2)
-            child.extend(_shift(f, base, r0))
+        bases = [_offsets_sum(f, ks + ((2,) if ks in shifted else ())) for ks in g1_degrees]
+    child = _shift(f, np.array(bases)[:, None], r0).ravel()
     return _ndm_from_labels(f, g, cols, row_order, child, f"ndm_sec34({variant})")
 
 
@@ -310,17 +281,18 @@ def ndm_p3(instance: str) -> NestedPair:
     """
     if instance == "gf27_to_gf9":
         f, g = field_make(3, 3), field_make(3, 2)
-        r = label_sequence(f, 0)
+        r = _labels(f, 0)
         shifts = ["0", "2x^2+x", "x^2+2x"]
     elif instance == "gf81_to_gf27":
         f, g = field_make(3, 4), field_make(3, 3)
-        r = label_sequence(f, 1)
+        r = _labels(f, 1)
         shifts = ["0", "2x^3+x^2", "x^3+2x^2"]
     else:
         raise ValueError(f"unknown instance {instance!r}")
-    child = [e for s in shifts for e in _shift(f, f.parse(s), r)]
+    bases = np.array([f.index(f.parse(s)) for s in shifts])
+    child = _shift(f, bases[:, None], r).ravel()
     return _ndm_from_labels(
-        f, g, label_sequence(f, 1), f.elements(), child, f"ndm_p3({instance})"
+        f, g, _labels(f, 1), np.arange(f.order), child, f"ndm_p3({instance})"
     )
 
 
@@ -329,39 +301,27 @@ def ndm_p3(instance: str) -> NestedPair:
 # ---------------------------------------------------------------------------
 
 
-def _vector(index: int, size: int, k: int) -> tuple[int, ...]:
-    """Coordinates of enumeration position ``index`` over a size-``size``
-    alphabet; the first coordinate varies fastest."""
-    out = []
-    for _ in range(k):
-        out.append(index % size)
-        index //= size
-    return tuple(out)
+def _vectors(size: int, k: int) -> np.ndarray:
+    """All of ``range(size)^k`` by enumeration position, one row each; the
+    first coordinate varies fastest."""
+    return np.stack(digits(np.arange(size**k), size, k), axis=1)
 
 
-def _canonical_directions(size: int, k: int) -> list[tuple[int, ...]]:
+def _canonical_directions(size: int, k: int) -> np.ndarray:
     """Vectors whose last nonzero coordinate is the element of index 1,
     enumerated first-coordinate-fastest.  There are (size^k - 1)/(size - 1)."""
-    dirs = []
-    for v in range(size**k):
-        coords = _vector(v, size, k)
-        last = next((c for c in reversed(coords) if c != 0), None)
-        if last == 1:
-            dirs.append(coords)
-    return dirs
+    v = _vectors(size, k)
+    last_is_one = [(v[:, j] == 1) & ~v[:, j + 1 :].any(axis=1) for j in range(k)]
+    return v[np.logical_or.reduce(last_is_one)]
 
 
-def _linear_entries(f: Field, rows: Sequence[tuple[int, ...]], dirs: Sequence[tuple[int, ...]]) -> LevelArray:
+def _linear_entries(f: Field, rows: np.ndarray, dirs: np.ndarray) -> LevelArray:
+    """Entry (a, b) is the linear form ``sum_i dirs[b, i] * rows[a, i]``."""
     g = GaloisGroup(f)
-    elems = f.elements()
-    data = np.empty((len(rows), len(dirs)), dtype=np.int64)
-    for a, coords in enumerate(rows):
-        for b, c in enumerate(dirs):
-            acc = f.zero
-            for ci, xi in zip(c, coords):
-                if ci and xi:
-                    acc = f.add(acc, f.mul(elems[ci], elems[xi]))
-            data[a, b] = f.index(acc)
+    add, mul = add_table(g), mul_table(f)
+    data = np.zeros((len(rows), len(dirs)), dtype=np.int64)
+    for i in range(rows.shape[1]):
+        data = add[data, mul[rows[:, i, None], dirs[None, :, i]]]
     return LevelArray((g,) * len(dirs), data)
 
 
@@ -375,8 +335,7 @@ def rao_hamming_oa(f: Field, k: int) -> LevelArray:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     s = f.order
-    rows = [_vector(v, s, k) for v in range(s**k)]
-    out = _linear_entries(f, rows, _canonical_directions(s, k))
+    out = _linear_entries(f, _vectors(s, k), _canonical_directions(s, k))
     _gate(check_oa(out), f"rao_hamming_oa(GF({s}), k={k})")
     return out
 
@@ -403,14 +362,11 @@ def qtw_noa(f1: Field, f2: Field, k: int) -> NestedPair:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     s1, s2 = f1.order, f2.order
-    dirs = [
-        tuple(c) for c in _canonical_directions(s2, k)
-    ]  # coordinates < s2 are exactly the degree-<u2 elements of f1
-    rows = [_vector(v, s1, k) for v in range(s1**k)]
+    # coordinates < s2 are exactly the degree-<u2 elements of f1
+    dirs = _canonical_directions(s2, k)
+    rows = _vectors(s1, k)
     parent = _linear_entries(f1, rows, dirs)
-    child_rows = tuple(
-        v for v in range(s1**k) if all(c < s2 for c in _vector(v, s1, k))
-    )
+    child_rows = tuple(np.flatnonzero((rows < s2).all(axis=1)))
     proj = modulus(f1, f2)
     pair = NestedPair(parent, child_rows, (proj,) * len(dirs))
     _gate(check_nested(pair, "noa"), f"qtw_noa(GF({s1}), GF({s2}), k={k})")
@@ -507,10 +463,8 @@ def validation_pair(
     full = kronecker_add(a, d0)
     _gate(check_oa(full), "validation_pair: full parent")
     shared = tuple(j * s1 + t for j in range(a.n_cols) for t in range(4))
-    r = label_sequence(f, m - 2)
-    child_labels = r + _shift(f, _offsets_sum(f, [m, m - 1]), r)
-    label_pos = {f.index(e) for e in child_labels}
-    d2_rows = [i for i in range(s1) if i in label_pos]
+    r = _labels(f, m - 2)
+    d2_rows = np.union1d(r, _shift(f, _offsets_sum(f, [m, m - 1]), r))
     child_rows = tuple(
         i * s1 + rr for i in range(a.n_rows) for rr in d2_rows
     )

@@ -33,6 +33,7 @@ from .algebra import (
     ResidueGroup,
     component,
     identity_projection,
+    prime_power,
     product_projection,
     residue,
 )
@@ -57,18 +58,6 @@ __all__ = [
 ]
 
 
-def _prime_of(order: int) -> int | None:
-    """The prime p when ``order`` is a prime power, else None."""
-    n, p = order, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-        p += 1
-    return n  # order itself prime
-
-
 def _check_distinct_primes(orders: Sequence[int]) -> None:
     """Distinct-prime requirement across blocks.
 
@@ -78,9 +67,10 @@ def _check_distinct_primes(orders: Sequence[int]) -> None:
     """
     seen: dict[int, int] = {}
     for order in orders:
-        p = _prime_of(order)
-        if p is None:
+        pp = prime_power(order)
+        if pp is None:
             continue
+        p = pp[0]
         if p in seen:
             raise ValueError(
                 f"blocks with levels {seen[p]} and {order} share the prime {p}"

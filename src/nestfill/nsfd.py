@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import NestedPair, check_nested
+from .arrays import NestedPair, _array_key, _ByContent, check_nested
 
 __all__ = [
     "RelabeledArray",
@@ -48,8 +48,8 @@ _PERM_KEY = 1  # spawn-key namespaces under the master seed
 _JITTER_KEY = 2
 
 
-@dataclass(frozen=True)
-class RelabeledArray:
+@dataclass(frozen=True, eq=False)
+class RelabeledArray(_ByContent):
     """Integer-relabeled parent array of a nested pair.
 
     ``labels`` holds values ``1..s_j`` per column; ``group_sizes[j]`` is the
@@ -65,6 +65,9 @@ class RelabeledArray:
         lab = np.asarray(self.labels, dtype=np.int64)
         lab.setflags(write=False)
         object.__setattr__(self, "labels", lab)
+
+    def _content(self) -> tuple:
+        return (_array_key(self.labels), self.level_counts, self.group_sizes, self.pair)
 
     @property
     def n_rows(self) -> int:
@@ -130,8 +133,8 @@ def oa_lhd(r: RelabeledArray, seed: int | None = None) -> np.ndarray:
     return ranks
 
 
-@dataclass(frozen=True)
-class Design:
+@dataclass(frozen=True, eq=False)
+class Design(_ByContent):
     """Points in the unit cube obtained from a rank matrix.
 
     ``points[i, j]`` lies in ``[(ranks[i,j]-1)/n, ranks[i,j]/n)``, so the
@@ -152,6 +155,9 @@ class Design:
         rk.setflags(write=False)
         object.__setattr__(self, "ranks", rk)
 
+    def _content(self) -> tuple:
+        return (_array_key(self.points), _array_key(self.ranks), self.seed, self.midpoint, self.relabeled)
+
     @property
     def n_rows(self) -> int:
         return int(self.points.shape[0])
@@ -161,8 +167,8 @@ class Design:
         return int(self.points.shape[1])
 
 
-@dataclass(frozen=True)
-class NestedDesign:
+@dataclass(frozen=True, eq=False)
+class NestedDesign(_ByContent):
     """A full design together with the nested child point set."""
 
     full: Design
@@ -173,6 +179,9 @@ class NestedDesign:
         pts = np.asarray(self.child_points, dtype=np.float64)
         pts.setflags(write=False)
         object.__setattr__(self, "child_points", pts)
+
+    def _content(self) -> tuple:
+        return (self.full, _array_key(self.child_points), self.child_rows)
 
 
 def to_design(
@@ -208,7 +217,7 @@ def to_design(
 
 def extract_nested(d: Design, p: NestedPair) -> NestedDesign:
     """Child point set: the rows of the design at the pair's child rows."""
-    if d.relabeled is None or d.relabeled.pair is not p and d.relabeled.pair != p:
+    if d.relabeled is None or d.relabeled.pair != p:
         raise ValueError("design was not generated from this nested pair")
     rows = list(p.child_rows)
     return NestedDesign(d, d.points[rows, :], p.child_rows)

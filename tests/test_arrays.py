@@ -382,3 +382,43 @@ def test_bundle_round_trip_mixed(tmp_path):
 def test_hstack_requires_equal_rows(gf4):
     with pytest.raises(ValueError, match="row counts"):
         hstack([mult_table(gf4), trivial_oa(ResidueGroup(3))])
+
+
+# ---------------------------------------------------------------------------
+# degenerate inputs and equality
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows,width", [(0, 1), (0, 2), (8, 0)])
+def test_empty_array_fails_oa_and_dm(gf8, rows, width):
+    a = LevelArray((GaloisGroup(gf8),) * width, np.zeros((rows, width)))
+    for verdict in (check_oa(a), check_dm(a)):
+        assert not verdict
+        assert verdict.reason == f"empty array: {rows} rows, {width} columns"
+
+
+@pytest.mark.parametrize("kind", ["ndm", "noa"])
+def test_nested_with_empty_child_fails(kind):
+    pair = ndm_theorem1(2) if kind == "ndm" else zero_sum_noa(4, 2)
+    verdict = check_nested(NestedPair(pair.parent, (), pair.projections), kind)
+    assert not verdict
+    assert verdict.reason.startswith("collapsed child fails: empty array: 0 rows")
+
+
+def test_equal_arrays_and_pairs_compare_equal():
+    a, b = ndm_theorem1(2), ndm_theorem1(2)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a.parent == b.parent and hash(a.parent) == hash(b.parent)
+    assert len({a, b}) == 1
+    assert a != ndm_theorem1(3) and a.parent != ndm_theorem1(3).parent
+
+
+def test_level_array_equality_sees_cells_labels_and_alphabets(gf4):
+    t = mult_table(gf4)
+    assert t == mult_table(field_make(2, 2))
+    assert t != LevelArray(t.groups, t.data)  # labels dropped
+    assert t != subrows(t, [1, 0, 2, 3])  # same labels, other order
+    assert t != cast_group(t, ProductGroup((ResidueGroup(2), ResidueGroup(2))))
+    pair = ndm_theorem1(2)
+    other = NestedPair(pair.parent, pair.child_rows[::-1], pair.projections)
+    assert pair != other

@@ -1,10 +1,17 @@
 """Command line contract: verbs, files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
+import nestfill
 from nestfill.cli import main
+
+SRC = os.path.dirname(os.path.dirname(nestfill.__file__))
 
 
 def run(*argv):
@@ -159,3 +166,44 @@ def test_validation_writes_full_and_shared(tmp_path):
     assert (tmp_path / "vp_full.csv").exists()
     assert run("verify", "noa", prefix) == 0
     assert run("verify", "oa", prefix + "_full") == 0
+
+
+def _bundle(tmp_path):
+    prefix = str(tmp_path / "b")
+    assert run("construct", "theorem1", "m=2", "--out", prefix) == 0
+    return prefix
+
+
+def test_verify_empty_csv_exit_4(tmp_path, capsys):
+    prefix = _bundle(tmp_path)
+    (tmp_path / "b.csv").write_text("")
+    capsys.readouterr()
+    assert run("verify", "ndm", prefix) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed bundle") and "empty file" in err
+
+
+@pytest.mark.parametrize("sidecar", [[1, 2], {"kind": "ndm"}, {"columns": 5}])
+def test_verify_malformed_sidecar_exit_4(tmp_path, capsys, sidecar):
+    prefix = _bundle(tmp_path)
+    (tmp_path / "b.json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert run("verify", "ndm", prefix) == 4
+    assert capsys.readouterr().err.startswith("error: malformed bundle")
+
+
+def test_verify_malformed_bundle_subprocess_has_no_traceback(tmp_path):
+    prefix = _bundle(tmp_path)
+    (tmp_path / "b.json").write_text("[]")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestfill.cli", "verify", "ndm", prefix],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("s", ["6", "1", "0"])
+def test_non_prime_power_order_exit_2(tmp_path, s):
+    assert run("construct", "multtable", f"s={s}", "--out", str(tmp_path / "x")) == 2

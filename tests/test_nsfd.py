@@ -219,3 +219,20 @@ def test_one_dimensional_balance(ex8_pair):
     for j in range(nd.full.n_cols):
         cells = np.floor(nd.full.points[:, j] * n).astype(int)
         assert np.array_equal(np.sort(cells), np.arange(n))
+
+
+def test_extract_nested_accepts_an_equal_rebuilt_pair(ex8_pair):
+    d = nested_design(ex8_pair, seed=5).full
+    rebuilt = noa_theorem4(trivial_oa(GaloisGroup(field_make(2, 3))), ndm_theorem1(2))
+    assert rebuilt is not ex8_pair and rebuilt == ex8_pair
+    assert extract_nested(d, rebuilt) == extract_nested(d, ex8_pair)
+
+
+def test_designs_compare_by_content(ex8_pair):
+    a, b = nested_design(ex8_pair, seed=3), nested_design(ex8_pair, seed=3)
+    assert a == b and hash(a) == hash(b)
+    assert a.full == b.full and hash(a.full) == hash(b.full)
+    assert relabel(ex8_pair) == a.full.relabeled
+    assert hash(relabel(ex8_pair)) == hash(a.full.relabeled)
+    assert nested_design(ex8_pair, seed=4) != a
+    assert nested_design(ex8_pair, midpoint=True) != a
