@@ -23,7 +23,9 @@ Index tables are the single arithmetic core.  ``add_table``, ``neg_table``,
 over element indices; constructions, projections and verifiers all work on
 them.  ``GfElem`` and the scalar ``Field.add``/``neg``/``mul`` methods are
 views for the API and file edges, where single elements are parsed, printed
-or compared.
+or compared.  ``text_codec`` is the text edge: per alphabet, the canonical
+text of every index and the map back, so files are read and written one
+lookup per cell.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -34,7 +36,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -62,6 +65,7 @@ __all__ = [
     "mul_table",
     "neg_table",
     "sub_table",
+    "text_codec",
     "Projection",
     "identity_projection",
     "truncation",
@@ -178,8 +182,10 @@ def poly_text(coeffs: Sequence[int]) -> str:
 _TERM_RE = re.compile(r"^(\d+)?(x(?:\^(\d+))?)?$")
 
 
-def poly_parse(text: str, p: int) -> tuple[int, ...]:
-    """Parse text like ``x^3+x+1`` into a coefficient tuple over Z_p."""
+def poly_parse(text: str, p: int, max_degree: int | None = None) -> tuple[int, ...]:
+    """Parse text like ``x^3+x+1`` into a coefficient tuple over Z_p.  A
+    result of degree above ``max_degree`` raises before it is built, so a
+    stray ``x^99999999`` costs no memory."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial text")
@@ -196,10 +202,14 @@ def poly_parse(text: str, p: int) -> tuple[int, ...]:
         else:
             deg = 1
         coeffs[deg] = (coeffs.get(deg, 0) + coef) % p
-    out = [0] * (max(coeffs) + 1)
+    top = max((d for d, c in coeffs.items() if c), default=-1)
+    if max_degree is not None and top > max_degree:
+        raise ValueError(f"{text!r} has degree {top}, above the maximum {max_degree}")
+    out = [0] * (top + 1)
     for d, c in coeffs.items():
-        out[d] = c
-    return poly_trim(out)
+        if c:
+            out[d] = c
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +332,7 @@ class Field:
         return poly_text(e.coeffs)
 
     def parse(self, text: str) -> GfElem:
-        coeffs = poly_parse(text, self.p)
-        if len(coeffs) > self.u:
-            raise ValueError(f"{text!r} has degree {len(coeffs) - 1}, too large for GF({self.order})")
+        coeffs = poly_parse(text, self.p, max_degree=self.u - 1)
         return GfElem(coeffs + (0,) * (self.u - len(coeffs)))
 
     def _check(self, e: GfElem) -> None:
@@ -403,10 +411,22 @@ class Group:
         return [self.element(i) for i in range(self.order)]
 
     def text_at(self, index: int) -> str:
-        return self.text(self.element(index))
+        """Canonical text of the element at ``index``."""
+        texts = text_codec(self)[0]
+        if 0 <= index < len(texts):
+            return texts[index]
+        return self.text(self.element(index))  # raises the out-of-range error
 
     def parse_index(self, text: str) -> int:
-        return self.index(self.parse(text))
+        """Index of the element spelled ``text``.  Canonical texts are one
+        lookup; any other spelling the parser accepts (``1+x``, ``x^1``,
+        `` x + 1``) goes through ``parse``, which also raises for bad text."""
+        i = text_codec(self)[1].get(text)
+        if i is None:
+            if not isinstance(text, str):
+                raise ValueError(f"{text!r} is not element text")
+            i = self.index(self.parse(text))
+        return i
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -565,6 +585,15 @@ class ProductGroup(Group):
 
     def describe(self) -> str:
         return "x".join(g.describe() for g in self.components)
+
+
+@lru_cache(maxsize=None)
+def text_codec(g: Group) -> tuple[tuple[str, ...], Mapping[str, int]]:
+    """Canonical text of every element of ``g`` by index, and the read-only
+    inverse map from text to index; the text edge of the index tables.
+    Built once per alphabet through the element path, ``text(element(i))``."""
+    texts = tuple(g.text(g.element(i)) for i in range(g.order))
+    return texts, MappingProxyType({t: i for i, t in enumerate(texts)})
 
 
 def group_add(g: Group, a, b):

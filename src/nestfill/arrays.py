@@ -27,7 +27,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,10 +40,13 @@ from .algebra import (
     projection_from_dict,
     projection_to_dict,
     sub_table,
+    text_codec,
 )
 
 __all__ = [
+    "FormatError",
     "BundleFormatError",
+    "VerificationError",
     "Verdict",
     "LevelArray",
     "NestedPair",
@@ -91,6 +94,15 @@ class Verdict:
         if self.witness:
             parts.append(", ".join(f"{k}={v}" for k, v in self.witness.items()))
         return " - ".join(parts)
+
+
+class VerificationError(ValueError):
+    """An input failed the verification that an operation requires of it."""
+
+
+class FormatError(ValueError):
+    """Text that should hold an array (a bundle CSV, a catalog data file)
+    does not."""
 
 
 def _ro(a: np.ndarray) -> np.ndarray:
@@ -183,10 +195,14 @@ class LevelArray(_ByContent):
         return self.groups[j].text_at(int(self.data[i, j]))
 
     def row_texts(self, i: int) -> list[str]:
-        return [self.entry_text(i, j) for j in range(self.n_cols)]
+        return [text_codec(g)[0][v] for g, v in zip(self.groups, self.data[i].tolist())]
 
     def texts(self) -> list[list[str]]:
-        return [self.row_texts(i) for i in range(self.n_rows)]
+        """Canonical text of every entry, rendered one column at a time."""
+        grid = np.empty(self.shape, dtype=object)
+        for j, g in enumerate(self.groups):
+            grid[:, j] = np.array(text_codec(g)[0], dtype=object)[self.data[:, j]]
+        return grid.tolist()
 
     def uniform_group(self) -> Group:
         """The single shared alphabet, or raise if columns differ."""
@@ -203,29 +219,16 @@ class LevelArray(_ByContent):
         return [self.label_group.text_at(i) for i in self.row_labels]
 
     @classmethod
-    def from_rows(
-        cls,
-        groups: Sequence[Group] | Group,
-        rows: Iterable[Sequence],
-        *,
-        n_cols: int | None = None,
-    ) -> "LevelArray":
-        """Build from element objects (one shared alphabet or one per column)."""
-        rows = [list(r) for r in rows]
+    def from_text(cls, groups: Sequence[Group] | Group, text: str, where: str = "text") -> "LevelArray":
+        """Parse a whitespace grid of element texts, one row per line.  A
+        single alphabet takes its width from the first row.  Malformed text
+        raises :class:`FormatError` naming ``where``."""
+        rows = [cells for cells in (ln.split() for ln in text.splitlines()) if cells]
+        if not rows:
+            raise FormatError(f"{where}: no rows")
         if isinstance(groups, Group):
-            width = n_cols if n_cols is not None else (len(rows[0]) if rows else 0)
-            groups = (groups,) * width
-        data = [[g.index(e) for g, e in zip(groups, row)] for row in rows]
-        return cls(tuple(groups), np.asarray(data, dtype=np.int64).reshape(len(rows), len(groups)))
-
-    @classmethod
-    def from_text(cls, groups: Sequence[Group] | Group, text: str) -> "LevelArray":
-        """Parse a whitespace grid of canonical element texts."""
-        lines = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
-        if isinstance(groups, Group):
-            groups = (groups,) * len(lines[0])
-        rows = [[g.parse(t) for g, t in zip(groups, ln)] for ln in lines]
-        return cls.from_rows(groups, rows)
+            groups = (groups,) * len(rows[0])
+        return cls(tuple(groups), _parse_grid(groups, rows, where))
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,6 +523,30 @@ def _atomic_write(path: str, content: str) -> None:
         raise
 
 
+def _parse_grid(groups: Sequence[Group], rows: list[list[str]], where: str) -> np.ndarray:
+    """Element indices of a grid of cell texts, one column at a time.
+
+    Each cell is one lookup in its column's codec; a cell the codec does not
+    hold goes through ``parse_index``, and one that does not parse raises
+    :class:`FormatError` with its position.
+    """
+    for r, cells in enumerate(rows):
+        if len(cells) != len(groups):
+            raise FormatError(f"{where}: row {r + 1} has {len(cells)} cells, expected {len(groups)}")
+    data = np.empty((len(rows), len(groups)), dtype=np.int64)
+    for j, (g, col) in enumerate(zip(groups, zip(*rows))):
+        idx = list(map(text_codec(g)[1].get, col))
+        if None in idx:
+            for r, cell in enumerate(col):
+                if idx[r] is None:
+                    try:
+                        idx[r] = g.parse_index(cell)
+                    except ValueError as e:
+                        raise FormatError(f"{where}: row {r + 1}, column {j + 1}: {e}") from None
+        data[:, j] = idx
+    return data
+
+
 def write_array_csv(path: str, a: LevelArray) -> None:
     """Write the run matrix: header ``c1,...,cm``, canonical element text."""
     lines = [",".join(f"c{j + 1}" for j in range(a.n_cols))]
@@ -528,22 +555,16 @@ def write_array_csv(path: str, a: LevelArray) -> None:
 
 
 def read_array_csv(path: str, groups: Sequence[Group]) -> LevelArray:
+    """Inverse of :func:`write_array_csv`; malformed text raises
+    :class:`FormatError`."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty file, expected a header line")
+        raise FormatError(f"{path}: empty file, expected a header line")
     header = lines[0].split(",")
     if len(header) != len(groups):
-        raise ValueError(
-            f"{path}: header has {len(header)} columns, expected {len(groups)}"
-        )
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(groups):
-            raise ValueError(f"{path}: row with {len(cells)} cells, expected {len(groups)}")
-        rows.append([g.parse(c) for g, c in zip(groups, cells)])
-    return LevelArray.from_rows(tuple(groups), rows)
+        raise FormatError(f"{path}: header has {len(header)} columns, expected {len(groups)}")
+    return LevelArray(tuple(groups), _parse_grid(groups, [ln.split(",") for ln in lines[1:]], path))
 
 
 def _sidecar_dict(obj: LevelArray | NestedPair, kind: str | None) -> dict:
@@ -572,7 +593,7 @@ def save_bundle(prefix: str, obj: LevelArray | NestedPair, kind: str | None = No
     return csv_path, json_path
 
 
-class BundleFormatError(ValueError):
+class BundleFormatError(FormatError):
     """A bundle's files exist but do not hold a valid bundle."""
 
 

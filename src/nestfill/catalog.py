@@ -20,8 +20,6 @@ from functools import lru_cache
 from importlib import resources
 from typing import Callable
 
-import numpy as np
-
 #: Default defining polynomials, constant term first.  The x^u + x + 1
 #: convention is used wherever that trinomial is irreducible; the remaining
 #: entries are standard choices, and every one is re-verified by trial
@@ -68,9 +66,19 @@ def _data_text(filename: str) -> str:
     return resources.files(__package__).joinpath("_data").joinpath(filename).read_text()
 
 
+def _read_grid(groups, filename: str):
+    """The data file ``filename`` as a LevelArray; malformed text raises
+    ``arrays.FormatError``."""
+    from .arrays import LevelArray
+
+    return LevelArray.from_text(groups, _data_text(filename), where=filename)
+
+
 def _require(verdict, name: str) -> None:
+    from .arrays import VerificationError
+
     if not verdict:
-        raise ValueError(f"catalog entry {name!r} failed validation: {verdict.describe()}")
+        raise VerificationError(f"catalog entry {name!r} failed validation: {verdict.describe()}")
 
 
 # Builders are registered as thunks so that entries are parsed and verified
@@ -131,20 +139,20 @@ def _groups():
 
 @_register("seberry_12_12_4")
 def _seberry() -> CatalogEntry:
-    from .arrays import LevelArray, check_dm
+    from .arrays import check_dm
 
     z2, _, _, _, _, _, Product = _groups()
-    arr = LevelArray.from_text(Product((z2, z2)), _data_text("seberry_12_12_4.txt"))
+    arr = _read_grid(Product((z2, z2)), "seberry_12_12_4.txt")
     _require(check_dm(arr), "seberry_12_12_4")
     return CatalogEntry("seberry_12_12_4", arr, "Seberry (1979), generalized Hadamard matrix GH(12; Z2 x Z2)")
 
 
 @_register("dulmage_12_6_12")
 def _dulmage() -> CatalogEntry:
-    from .arrays import LevelArray, check_dm
+    from .arrays import check_dm
 
     z2, z6, *_ , Product = _groups()
-    arr = LevelArray.from_text(Product((z2, z6)), _data_text("dulmage_12_6_12.txt"))
+    arr = _read_grid(Product((z2, z6)), "dulmage_12_6_12.txt")
     _require(check_dm(arr), "dulmage_12_6_12")
     return CatalogEntry(
         "dulmage_12_6_12", arr, "Dulmage, Johnson and Mendelsohn (1961), over Z2 + Z6"
@@ -154,10 +162,10 @@ def _dulmage() -> CatalogEntry:
 @_register("ex10_a2")
 def _ex10_a2() -> CatalogEntry:
     from .algebra import field_make, modulus
-    from .arrays import LevelArray, check_oa, collapse
+    from .arrays import check_oa, collapse
 
     *_, g8, _, _ = _groups()
-    arr = LevelArray.from_text(g8, _data_text("ex10_a2.txt"))
+    arr = _read_grid(g8, "ex10_a2.txt")
     proj = modulus(field_make(2, 3), field_make(2, 2))
     _require(check_oa(collapse(arr, proj)), "ex10_a2")
     return CatalogEntry("ex10_a2", arr, "Qian, Ai and Wu (2009), Example 10 child array")
@@ -165,18 +173,18 @@ def _ex10_a2() -> CatalogEntry:
 
 @_register("ex3_d1")
 def _ex3_d1() -> CatalogEntry:
-    from .arrays import LevelArray, check_dm
+    from .arrays import check_dm
 
     *_, g8, _, _ = _groups()
-    arr = LevelArray.from_text(g8, _data_text("ex3_d1.txt"))
+    arr = _read_grid(g8, "ex3_d1.txt")
     _require(check_dm(arr), "ex3_d1")
     return CatalogEntry("ex3_d1", arr, "Qian, Ai and Wu (2009), Example 3 parent table")
 
 
 def _small_dm_fixture(name: str, filename: str, group, cite: str) -> CatalogEntry:
-    from .arrays import LevelArray, check_dm
+    from .arrays import check_dm
 
-    arr = LevelArray.from_text(group, _data_text(filename))
+    arr = _read_grid(group, filename)
     _require(check_dm(arr), name)
     return CatalogEntry(name, arr, cite)
 
@@ -207,12 +215,12 @@ def _ex6_block() -> CatalogEntry:
 
 @_register("ex13_d")
 def _ex13_d() -> CatalogEntry:
-    from .arrays import LevelArray, check_dm, subcols
+    from .arrays import check_dm, subcols
 
     _, _, g3, g4, _, _, Product = _groups()
     paired = Product((g4, g3))
     groups = (paired, paired, g4, g4, g3)
-    arr = LevelArray.from_text(groups, _data_text("ex13_d.txt"))
+    arr = _read_grid(groups, "ex13_d.txt")
     _require(check_dm(subcols(arr, (0, 1))), "ex13_d (paired block)")
     _require(check_dm(subcols(arr, (2, 3))), "ex13_d (4-level block)")
     return CatalogEntry("ex13_d", arr, "Qian, Ai and Wu (2009), Example 13 mixed matrix")
@@ -220,14 +228,13 @@ def _ex13_d() -> CatalogEntry:
 
 @_register("ex14_table4")
 def _ex14_table4() -> CatalogEntry:
-    from .arrays import LevelArray, check_oa
+    from .arrays import FormatError, LevelArray, check_oa
     from .algebra import ResidueGroup
 
-    rows = [
-        [int(v) - 1 for v in line.split()]
-        for line in _data_text("ex14_table4.txt").strip().splitlines()
-    ]
-    arr = LevelArray((ResidueGroup(8),) * 4, np.asarray(rows, dtype=np.int64))
+    printed = _read_grid((ResidueGroup(9),) * 4, "ex14_table4.txt")  # levels 1..8
+    if not printed.data.all():
+        raise FormatError("ex14_table4.txt: level 0; the printed levels run 1..8")
+    arr = LevelArray((ResidueGroup(8),) * 4, printed.data - 1)
     _require(check_oa(arr), "ex14_table4")
     return CatalogEntry(
         "ex14_table4", arr, "Qian, Ai and Wu (2009), Table 4 relabeled array (levels shifted to 0..7)"

@@ -24,9 +24,10 @@ from .algebra import (
     prime_power,
 )
 from .arrays import (
-    BundleFormatError,
+    FormatError,
     LevelArray,
     NestedPair,
+    VerificationError,
     check_dm,
     check_nested,
     check_oa,
@@ -270,8 +271,6 @@ def _load(prefix: str):
         obj, _kind = load_bundle(prefix)
     except OSError as e:
         raise IoFailed(f"cannot read {prefix}.csv/.json: {e}") from None
-    except BundleFormatError as e:
-        raise IoFailed(str(e)) from None
     return obj
 
 
@@ -413,21 +412,15 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ConstructionError, VerifyFailed) as e:
+    except (ConstructionError, VerifyFailed, VerificationError) as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 3
-    except IoFailed as e:
+    except (IoFailed, FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except OSError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 4
+        return 2
 
 
 if __name__ == "__main__":

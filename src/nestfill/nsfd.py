@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import NestedPair, _array_key, _ByContent, check_nested
+from .arrays import NestedPair, VerificationError, _array_key, _ByContent, check_nested
 
 __all__ = [
     "RelabeledArray",
@@ -88,7 +88,7 @@ def relabel(p: NestedPair) -> RelabeledArray:
     """
     verdict = check_nested(p, "noa")
     if not verdict:
-        raise ValueError(f"input does not verify as nested: {verdict.describe()}")
+        raise VerificationError(f"input does not verify as nested: {verdict.describe()}")
     n, m = p.parent.shape
     cols, sizes, counts = [], [], []
     for j, proj in enumerate(p.projections):

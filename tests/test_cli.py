@@ -1,12 +1,16 @@
 """Command line contract: verbs, files, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nestfill
 from nestfill.cli import main
@@ -192,6 +196,17 @@ def test_verify_malformed_sidecar_exit_4(tmp_path, capsys, sidecar):
     assert capsys.readouterr().err.startswith("error: malformed bundle")
 
 
+@pytest.mark.parametrize("label", [5, None, ["0"]])
+def test_verify_non_text_row_label_exit_4(tmp_path, capsys, label):
+    prefix = _bundle(tmp_path)
+    meta = json.loads((tmp_path / "b.json").read_text())
+    meta["row_labels"][0] = label
+    (tmp_path / "b.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("verify", "ndm", prefix) == 4
+    assert capsys.readouterr().err.startswith("error: malformed bundle")
+
+
 def test_verify_malformed_bundle_subprocess_has_no_traceback(tmp_path):
     prefix = _bundle(tmp_path)
     (tmp_path / "b.json").write_text("[]")
@@ -207,3 +222,115 @@ def test_verify_malformed_bundle_subprocess_has_no_traceback(tmp_path):
 @pytest.mark.parametrize("s", ["6", "1", "0"])
 def test_non_prime_power_order_exit_2(tmp_path, s):
     assert run("construct", "multtable", f"s={s}", "--out", str(tmp_path / "x")) == 2
+
+
+def test_lhd_on_failing_nested_pair_exit_3(tmp_path, capsys):
+    prefix = str(tmp_path / "t4")
+    assert run("construct", "theorem4", "--out", prefix) == 0
+    meta = json.loads((tmp_path / "t4.json").read_text())
+    meta["nested"]["child_rows"].pop()
+    (tmp_path / "t4.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("verify", "noa", prefix) == 3
+    assert run("lhd", prefix, "--midpoint", "--out", str(tmp_path / "d")) == 3
+    err = capsys.readouterr().err
+    assert "does not verify as nested" in err and "Traceback" not in err
+    assert not (tmp_path / "d_dl.csv").exists()
+
+
+def _seberry_text():
+    from nestfill.catalog import _data_text
+
+    return _data_text("seberry_12_12_4.txt")
+
+
+@pytest.mark.parametrize(
+    "garble, code, head",
+    [
+        (lambda t: "", 4, "error: seberry_12_12_4.txt"),
+        (lambda t: "?" + t[1:], 4, "error: seberry_12_12_4.txt"),
+        (lambda t: t.replace("01", "11", 1), 3, "verification failed: catalog entry"),
+    ],
+    ids=["empty", "garbled", "fails-check"],
+)
+def test_catalog_data_errors_exit_codes(tmp_path, monkeypatch, capsys, garble, code, head):
+    import nestfill.catalog as cat
+
+    (tmp_path / "seberry_12_12_4.txt").write_text(garble(_seberry_text()))
+    monkeypatch.setenv("NESTFILL_CATALOG", str(tmp_path))
+    cat.catalog_get.cache_clear()
+    try:
+        capsys.readouterr()
+        assert run("catalog", "show", "seberry_12_12_4") == code
+        assert run("export", "seberry_12_12_4", "--out", str(tmp_path / "x")) == code
+        err = capsys.readouterr().err
+        assert err.startswith(head) and "Traceback" not in err
+    finally:
+        monkeypatch.delenv("NESTFILL_CATALOG")
+        cat.catalog_get.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the file-format boundary
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def noa_bundle(tmp_path_factory):
+    prefix = str(tmp_path_factory.mktemp("fuzz") / "b")
+    assert run("construct", "theorem4", "--out", prefix) == 0
+    with open(prefix + ".csv", "rb") as fh, open(prefix + ".json", "rb") as fj:
+        return fh.read(), fj.read()
+
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    """``data`` truncated, with bytes garbled, or with a span deleted.  A
+    garbled byte is mostly one the file already holds, so that many damaged
+    files still parse and reach the verifiers."""
+    how = draw(st.sampled_from(["truncate", "garble", "delete"]))
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if how == "delete":
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + data[i + draw(st.integers(1, 8)):]
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        byte = st.one_of(st.sampled_from(sorted(set(data))), st.integers(0, 255))
+        out[draw(st.integers(0, len(out) - 1))] = draw(byte)
+    return bytes(out)
+
+
+def _has_nesting(sidecar: bytes) -> bool:
+    try:
+        return bool(json.loads(sidecar).get("nested"))
+    except Exception:
+        return True  # unreadable: the loader must report a format error
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["csv", "json"]))
+def test_damaged_bundle_exit_codes(noa_bundle, data, which):
+    csv, sidecar = noa_bundle
+    if which == "csv":
+        csv = data.draw(damaged(csv))
+    else:
+        sidecar = data.draw(damaged(sidecar))
+    # a sidecar that still parses but has lost its nesting block is a plain
+    # array, which verify noa and lhd reject as a usage error
+    allowed = {0, 3, 4} if _has_nesting(sidecar) else {0, 2, 3, 4}
+    with tempfile.TemporaryDirectory() as d:
+        prefix = os.path.join(d, "b")
+        with open(prefix + ".csv", "wb") as fh:
+            fh.write(csv)
+        with open(prefix + ".json", "wb") as fh:
+            fh.write(sidecar)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            codes = [
+                run("verify", "noa", prefix),
+                run("lhd", prefix, "--seed", "1", "--out", os.path.join(d, "d")),
+                run("info", prefix),
+            ]
+    assert set(codes) <= allowed, (codes, err.getvalue())
+    assert "Traceback" not in err.getvalue()

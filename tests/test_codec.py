@@ -1,0 +1,228 @@
+"""The per-alphabet text codec and the file formats built on it.
+
+The element path (``text(element(i))`` and ``index(parse(text))``) stays the
+reference: every codec answer is compared with it, canonical texts for every
+index of every alphabet here, and random spellings drawn by Hypothesis.
+Written files are pinned by SHA-1 digests taken before the codec existed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nestfill.algebra import (
+    GaloisGroup,
+    ProductGroup,
+    ResidueGroup,
+    field_make,
+    text_codec,
+)
+from nestfill.arrays import FormatError, LevelArray, read_array_csv, write_array_csv
+from nestfill.catalog import DEFAULT_IRREDUCIBLES
+from nestfill.cli import main
+
+FIELDS = [GaloisGroup(field_make(p, u)) for p, u in sorted(DEFAULT_IRREDUCIBLES)]
+RESIDUES = [ResidueGroup(s) for s in (1, 2, 3, 6, 10, 12, 17)]
+GF4, GF9 = GaloisGroup(field_make(2, 2)), GaloisGroup(field_make(3, 2))
+Z2, Z3, Z6, Z12 = (ResidueGroup(s) for s in (2, 3, 6, 12))
+PRODUCTS = [
+    ProductGroup((Z2, Z6)),
+    ProductGroup((Z2, Z2)),
+    ProductGroup((GF4, Z3)),
+    ProductGroup((GF9, Z12)),
+    ProductGroup((ProductGroup((Z2, Z2)), Z3)),
+]
+GROUPS = FIELDS + RESIDUES + PRODUCTS
+
+
+def _ids(groups):
+    return [g.describe() for g in groups]
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=_ids(GROUPS))
+def test_codec_matches_element_path(g):
+    texts, index = text_codec(g)
+    assert len(texts) == len(index) == g.order
+    for i in range(g.order):
+        t = g.text(g.element(i))
+        assert texts[i] == g.text_at(i) == t
+        assert g.parse_index(t) == g.index(g.parse(t)) == i
+
+
+SOME = [FIELDS[0], RESIDUES[2], PRODUCTS[0]]
+
+
+@pytest.mark.parametrize("g", SOME, ids=_ids(SOME))
+def test_text_at_out_of_range_raises(g):
+    for bad in (-1, g.order):
+        with pytest.raises(ValueError, match="out of range"):
+            g.text_at(bad)
+
+
+def _reference_parse(g, text):
+    try:
+        return g.index(g.parse(text))
+    except Exception as e:  # the type is what is compared
+        return type(e)
+
+
+def _codec_parse(g, text):
+    try:
+        return g.parse_index(text)
+    except Exception as e:
+        return type(e)
+
+
+@pytest.mark.parametrize(
+    "g, text",
+    [
+        (GF4, "1+x"),
+        (GF4, "x^1"),
+        (GF4, " x + 1"),
+        (GF4, "x+x"),
+        (GF4, "3x"),
+        (FIELDS[2], "x^3"),
+        (FIELDS[2], "x^99999999999"),
+        (FIELDS[2], "x^2+x^2+x^2"),
+        (GF9, "x+x+x"),
+        (Z12, "07"),
+        (Z12, " 7"),
+        (Z12, "12"),
+        (Z12, "-1"),
+        (PRODUCTS[0], "(1)(5)"),
+        (PRODUCTS[0], "16"),
+        (PRODUCTS[2], "(x+1)2"),
+        (PRODUCTS[2], "(1+x)2"),
+        (PRODUCTS[2], "(x+1"),
+        (PRODUCTS[3], "(2x+1)(11)"),
+        (PRODUCTS[3], "x11"),
+        (PRODUCTS[4], "(01)2"),
+        (PRODUCTS[4], "012"),
+        (Z2, ""),
+    ],
+)
+def test_non_canonical_and_invalid_spellings(g, text):
+    assert _codec_parse(g, text) == _reference_parse(g, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GROUPS), st.text(alphabet="0123456789x^+() -", max_size=9))
+def test_random_spellings_agree_with_element_path(g, text):
+    assert _codec_parse(g, text) == _reference_parse(g, text)
+
+
+@st.composite
+def level_arrays(draw):
+    groups = tuple(draw(st.lists(st.sampled_from(GROUPS), min_size=1, max_size=5)))
+    n = draw(st.integers(0, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    data = np.column_stack([rng.integers(0, g.order, size=n) for g in groups])
+    return LevelArray(groups, data.reshape(n, len(groups)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_arrays())
+def test_csv_round_trip(a):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "a.csv")
+        write_array_csv(path, a)
+        assert read_array_csv(path, a.groups) == a
+
+
+def test_texts_match_entry_texts():
+    a = LevelArray(PRODUCTS[3:4] + FIELDS[3:4], [[0, 1], [107, 15], [50, 7]])
+    want = [[a.entry_text(i, j) for j in range(a.n_cols)] for i in range(a.n_rows)]
+    assert a.texts() == want
+    assert [a.row_texts(i) for i in range(a.n_rows)] == want
+
+
+def test_reader_accepts_non_canonical_cells(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("c1,c2\n1+x,(1)(5)\n x^1 ,00\n")
+    a = read_array_csv(str(path), (GF4, PRODUCTS[0]))
+    assert a.texts() == [["x+1", "15"], ["x", "00"]]
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("c1,c2\nx,00\nx,0?\n", r"row 2, column 2"),
+        ("c1,c2\nx,00,1\n", r"row 1 has 3 cells, expected 2"),
+        ("c1\nx\n", r"header has 1 columns, expected 2"),
+    ],
+)
+def test_reader_format_errors(tmp_path, text, match):
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=match):
+        read_array_csv(str(path), (GF4, PRODUCTS[0]))
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "00 01\n11"])
+def test_from_text_format_errors(text):
+    with pytest.raises(FormatError, match="grid"):
+        LevelArray.from_text(PRODUCTS[1], text, where="grid")
+
+
+# ---------------------------------------------------------------------------
+# golden bytes of written files (digests recorded before the codec existed)
+# ---------------------------------------------------------------------------
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (
+            ["construct", "theorem4", "a=raohamming:s=8,k=2", "ndm=theorem1:m=2"],
+            {
+                "b.csv": "6bbeb6c0ead6a8cfa53128c50b6a35a88ee90d60",
+                "b.json": "3beddbbf71ce68ea6e4938dbd70efa4241be5b87",
+            },
+        ),
+        (
+            ["construct", "theorem1", "m=2"],  # a sidecar with row labels
+            {
+                "b.csv": "059f1a4e4791823fd6e56b453a813c7b23e1dee4",
+                "b.json": "56491bb42b7b6964f9450d010f77645a404063e4",
+            },
+        ),
+        (
+            ["export", "dulmage_12_6_12"],  # a product alphabet
+            {
+                "b.csv": "6627f3556bd702a44e1df2e30dd470b88ec728cb",
+                "b.json": "5fcf588e16123e02821b75919d5e754c59ba507d",
+            },
+        ),
+    ],
+)
+def test_written_bundle_digests(tmp_path, capsys, argv, files):
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert {name: _sha((tmp_path / name).read_bytes()) for name in files} == files
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("dulmage_12_6_12", "e335035fa145e000ba67c445230f69a21627ecb0"),
+        ("ex13_d", "a61b2d69ef4134dce0e01a9f95f348f0c5f4b15c"),
+        ("seberry_12_12_4", "fd2a59f2c0798c6e290326483d042c158301e07e"),
+    ],
+)
+def test_catalog_show_digest(name, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["catalog", "show", name]) == 0
+    assert _sha(out.getvalue().encode()) == digest
