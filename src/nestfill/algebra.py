@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -728,6 +728,11 @@ class Projection:
     detail: tuple = ()
 
     def np_table(self) -> np.ndarray:
+        """``table`` as a read-only int64 array, built once per projection."""
+        return self._np_table
+
+    @cached_property
+    def _np_table(self) -> np.ndarray:
         arr = np.asarray(self.table, dtype=np.int64)
         arr.setflags(write=False)
         return arr

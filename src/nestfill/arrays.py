@@ -9,9 +9,12 @@ difference matrices are NestedPairs.
 
 Verification is deliberately definition-level counting: ``check_oa`` counts
 every ordered level pair in every column pair, ``check_dm`` counts every
-group element in every ordered column difference.  The constructions
-elsewhere in the package are gated on these checkers, never the other way
-round.
+group element in the difference of every column pair i < j (the differences
+of j and i are their negatives, so that ordering passes or fails with it).
+Both count the pairs of a leading column a block of later columns at a time,
+in one ``bincount`` over a column-major copy of the array.  The
+constructions elsewhere in the package are gated on these checkers, never
+the other way round.
 
 Entries are stored as integer element indices (see ``algebra``); the element
 objects and their text forms are recovered through the column alphabets.
@@ -156,9 +159,12 @@ class LevelArray(_ByContent):
             raise ValueError(
                 f"data shape {data.shape} does not match {len(self.groups)} column alphabets"
             )
-        for j, g in enumerate(self.groups):
-            col = data[:, j]
-            if col.size and (col.min() < 0 or col.max() >= g.order):
+        if data.size:
+            orders = np.array([g.order for g in self.groups])
+            outside = (data.min(axis=0) < 0) | (data.max(axis=0) >= orders)
+            if outside.any():
+                j = int(outside.argmax())
+                g, col = self.groups[j], data[:, j]
                 bad = int(np.argmax((col < 0) | (col >= g.order)))
                 raise ValueError(
                     f"entry at row {bad}, column {j} is outside its alphabet {g.describe()}"
@@ -172,6 +178,12 @@ class LevelArray(_ByContent):
                 raise ValueError("row_labels must be distinct")
             if self.label_group is None:
                 raise ValueError("row_labels given without a label_group")
+            order = self.label_group.order
+            if labels and (min(labels) < 0 or max(labels) >= order):
+                bad = next(v for v in labels if not 0 <= v < order)
+                raise ValueError(
+                    f"row label {bad} is outside its alphabet {self.label_group.describe()}"
+                )
 
     def _content(self) -> tuple:
         return (self.groups, _array_key(self.data), self.row_labels, self.label_group)
@@ -207,7 +219,7 @@ class LevelArray(_ByContent):
     def uniform_group(self) -> Group:
         """The single shared alphabet, or raise if columns differ."""
         g = self.groups[0]
-        if any(h != g for h in self.groups):
+        if self.groups.count(g) != len(self.groups):
             raise ValueError(
                 "columns do not share a single alphabet; this operation needs one"
             )
@@ -281,6 +293,33 @@ class NestedPair(_ByContent):
 # ---------------------------------------------------------------------------
 
 
+def _spans(start: int, stop: int, width: int):
+    """Consecutive column ranges ``[j0, j1)`` covering ``start..stop``, cut
+    at the multiples of ``width``."""
+    while start < stop:
+        end = min(stop, (start // width + 1) * width)
+        yield start, end
+        start = end
+
+
+def _block_width(n: int) -> int:
+    """Columns counted in one block: at least 16, and about 64k cells."""
+    return max(16, (1 << 16) // n)
+
+
+def _block_layout(data: np.ndarray, s: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A column-major copy of ``data``, each column raised by ``P[j]``, the
+    orders of the columns before ``j`` in its block, and ``P`` itself.
+    A column of the copy is one contiguous read; the copy is int32 unless
+    the pair codes of a block need more."""
+    before = np.cumsum(s) - s
+    before -= before[np.arange(len(s)) // width * width]
+    top = int(s.max()) * int((before + s).max())
+    out = np.ascontiguousarray(data.T, dtype=np.int32 if top < 2**31 else np.int64)
+    out += before[:, None]
+    return out, before
+
+
 def check_oa(a: LevelArray) -> Verdict:
     """Strength-two verdict by exhaustive pair counting.
 
@@ -288,6 +327,12 @@ def check_oa(a: LevelArray) -> Verdict:
     occurs exactly ``n / (s_i * s_j)`` times.  A single-column array is
     checked for level balance instead.  The first violation, in lexicographic
     (i, j) then combination order, is returned as the witness.
+
+    The pairs of a leading column ``i`` are counted a block of later columns
+    at a time, with one ``bincount`` over a column-major copy of the array.
+    In a block, pair (i, j) owns the ``s_i * s_j`` slots from ``s_i * P[j]``
+    on, where ``P[j]`` sums the orders of the block's columns before ``j``,
+    and the level pair (l_i, l_j) is slot ``s_i * (l_j + P[j]) + l_i``.
     """
     n, m = a.shape
     if n == 0 or m == 0:
@@ -306,23 +351,30 @@ def check_oa(a: LevelArray) -> Verdict:
                 {"level": a.groups[0].text_at(lvl), "count": int(counts[lvl]), "expected": n // s},
             )
         return Verdict(True, "oa")
-    for i in range(m):
-        si = a.groups[i].order
-        for j in range(i + 1, m):
-            sj = a.groups[j].order
-            if n % (si * sj):
-                return Verdict(
-                    False,
-                    "oa",
-                    f"{n} rows not divisible by {si}*{sj} level combinations",
-                    {"columns": (i, j)},
-                )
-            want = n // (si * sj)
-            codes = a.data[:, i] * sj + a.data[:, j]
-            counts = np.bincount(codes, minlength=si * sj)
-            bad = np.flatnonzero(counts != want)
-            if bad.size:
-                code = int(bad[0])
+    s = np.array([g.order for g in a.groups], dtype=np.int64)
+    width = _block_width(n)
+    factor = 0
+    for i in range(m - 1):
+        si = int(s[i])
+        undivided = np.flatnonzero(n % (si * s[i + 1:]))
+        stop = i + 1 + int(undivided[0]) if undivided.size else m
+        if stop > i + 1:
+            if si != factor:  # one copy per run of leading columns of equal order
+                scaled, before = _block_layout(a.data, s, width)
+                scaled *= si
+                factor = si
+            col = a.data[:, i].astype(scaled.dtype)
+        for j0, j1 in _spans(i + 1, stop, width):
+            sizes = si * s[j0:j1]
+            codes = scaled[j0:j1] + (col - int(si * before[j0]))
+            counts = np.bincount(codes.ravel(), minlength=int(sizes.sum()))
+            bad = counts != np.repeat(n // sizes, sizes)
+            if bad.any():
+                k = int(np.searchsorted(np.cumsum(sizes), bad.argmax(), side="right"))
+                j, sj, first = j0 + k, int(s[j0 + k]), int(sizes[:k].sum())
+                want = n // (si * sj)
+                cell = counts[first:first + si * sj].reshape(sj, si).T.ravel()
+                code = int(np.argmax(cell != want))
                 return Verdict(
                     False,
                     "oa",
@@ -330,10 +382,17 @@ def check_oa(a: LevelArray) -> Verdict:
                     {
                         "columns": (i, j),
                         "levels": (a.groups[i].text_at(code // sj), a.groups[j].text_at(code % sj)),
-                        "count": int(counts[code]),
+                        "count": int(cell[code]),
                         "expected": want,
                     },
                 )
+        if stop < m:
+            return Verdict(
+                False,
+                "oa",
+                f"{n} rows not divisible by {si}*{int(s[stop])} level combinations",
+                {"columns": (i, stop)},
+            )
     return Verdict(True, "oa")
 
 
@@ -343,8 +402,12 @@ def check_dm(d: LevelArray) -> Verdict:
     All columns must share one alphabet (mixed alphabets raise, they are a
     usage error rather than a verification failure).  PASS iff for every
     ordered column pair the elementwise difference contains each group
-    element exactly ``b / g`` times.  Both orderings of each pair are
-    counted.
+    element exactly ``b / g`` times.  Only the pairs i < j are counted: the
+    differences of (j, i) are the negatives of those of (i, j), so its counts
+    are those of (i, j) permuted by negation.  (j, i) fails exactly when
+    (i, j) does, and (i, j) comes first in the order witnesses are reported
+    in.  The pairs of a leading column are counted a block of later columns
+    at a time, as in :func:`check_oa`.
     """
     b, m = d.shape
     if b == 0 or m == 0:
@@ -354,24 +417,28 @@ def check_dm(d: LevelArray) -> Verdict:
     if b % order:
         return Verdict(False, "dm", f"{b} rows not divisible by group order {order}")
     want = b // order
-    sub = sub_table(g)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            diffs = sub[d.data[:, i], d.data[:, j]]
-            counts = np.bincount(diffs, minlength=order)
-            bad = np.flatnonzero(counts != want)
-            if bad.size:
-                e = int(bad[0])
+    width = _block_width(b)
+    diff = sub_table(g).ravel()  # cell l_i * order + l_j holds l_i - l_j
+    cols = np.ascontiguousarray(d.data.T)  # int64: it indexes diff
+    slots = np.arange(0, min(width, m) * order, order)[:, None]
+    for i in range(m - 1):
+        lead = cols[i] * order
+        for j0, j1 in _spans(i + 1, m, width):
+            diffs = diff[cols[j0:j1] + lead]
+            diffs += slots[: j1 - j0]
+            counts = np.bincount(diffs.ravel(), minlength=(j1 - j0) * order)
+            bad = counts != want
+            if bad.any():
+                first = int(bad.argmax())
+                k, e = divmod(first, order)
                 return Verdict(
                     False,
                     "dm",
                     "unbalanced column difference",
                     {
-                        "columns": (i, j),
+                        "columns": (i, j0 + k),
                         "element": g.text_at(e),
-                        "count": int(counts[e]),
+                        "count": int(counts[first]),
                         "expected": want,
                     },
                 )
@@ -585,11 +652,13 @@ def _sidecar_dict(obj: LevelArray | NestedPair, kind: str | None) -> dict:
 
 
 def save_bundle(prefix: str, obj: LevelArray | NestedPair, kind: str | None = None) -> tuple[str, str]:
-    """Write ``prefix.csv`` plus the ``prefix.json`` sidecar; returns the paths."""
+    """Write ``prefix.csv`` plus the ``prefix.json`` sidecar; returns the paths.
+    The sidecar is rendered first, so an error there writes neither file."""
     arr = obj.parent if isinstance(obj, NestedPair) else obj
     csv_path, json_path = prefix + ".csv", prefix + ".json"
+    sidecar = json.dumps(_sidecar_dict(obj, kind), indent=1) + "\n"
     write_array_csv(csv_path, arr)
-    _atomic_write(json_path, json.dumps(_sidecar_dict(obj, kind), indent=1) + "\n")
+    _atomic_write(json_path, sidecar)
     return csv_path, json_path
 
 

@@ -251,9 +251,7 @@ def strat_counts(
     j, k = cols
     a = np.minimum((points[:, j] * g1).astype(np.int64), g1 - 1)
     b = np.minimum((points[:, k] * g2).astype(np.int64), g2 - 1)
-    counts = np.zeros((g1, g2), dtype=np.int64)
-    np.add.at(counts, (a, b), 1)
-    return counts
+    return np.bincount(a * g2 + b, minlength=g1 * g2).reshape(g1, g2)
 
 
 def is_uniform(counts: np.ndarray) -> bool:

@@ -298,3 +298,11 @@ def test_identity_projection_round_trip(gf8):
     ident = identity_projection(g)
     for e in gf8.elements():
         assert project(ident, e) == e
+
+
+def test_projection_table_is_built_once_and_read_only(gf8):
+    p = truncation(gf8, field_make(2, 1))
+    tab = p.np_table()
+    assert tab is p.np_table()
+    assert not tab.flags.writeable
+    assert tab.tolist() == list(p.table)

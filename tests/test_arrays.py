@@ -422,3 +422,39 @@ def test_level_array_equality_sees_cells_labels_and_alphabets(gf4):
     pair = ndm_theorem1(2)
     other = NestedPair(pair.parent, pair.child_rows[::-1], pair.projections)
     assert pair != other
+
+
+# ---------------------------------------------------------------------------
+# construction-time validation
+# ---------------------------------------------------------------------------
+
+
+def test_entry_outside_alphabet_names_first_column_then_first_row(gf4):
+    g4 = GaloisGroup(gf4)
+    data = np.zeros((5, 4), dtype=np.int64)
+    data[4, 1] = 4  # column 1 holds the first bad entry, in row 4
+    data[2, 1] = -1
+    data[0, 3] = 7
+    with pytest.raises(ValueError) as e:
+        LevelArray((Z2, g4, g4, Z2), data.copy())
+    assert str(e.value) == f"entry at row 2, column 1 is outside its alphabet {g4.describe()}"
+    data[[2, 4], 1] = 0
+    with pytest.raises(ValueError, match=r"^entry at row 0, column 3 is outside its alphabet Z_2$"):
+        LevelArray((Z2, g4, g4, Z2), data.copy())
+
+
+def test_row_label_outside_label_group_is_rejected(gf4):
+    g4 = GaloisGroup(gf4)
+    with pytest.raises(ValueError, match=r"^row label 99 is outside its alphabet"):
+        LevelArray((g4,), [[0], [1]], row_labels=(99, -1), label_group=g4)
+    with pytest.raises(ValueError, match=r"^row label -1 is outside its alphabet"):
+        LevelArray((g4,), [[0], [1]], row_labels=(0, -1), label_group=g4)
+
+
+def test_save_bundle_writes_no_lone_csv(tmp_path, gf4):
+    arr = mult_table(gf4)
+    object.__setattr__(arr, "row_labels", (99, 0, 1, 2))  # past the constructor's check
+    prefix = str(tmp_path / "b")
+    with pytest.raises(ValueError, match="out of range"):
+        save_bundle(prefix, arr)
+    assert list(tmp_path.iterdir()) == []

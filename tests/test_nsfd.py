@@ -236,3 +236,25 @@ def test_designs_compare_by_content(ex8_pair):
     assert hash(relabel(ex8_pair)) == hash(a.full.relabeled)
     assert nested_design(ex8_pair, seed=4) != a
     assert nested_design(ex8_pair, midpoint=True) != a
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+def test_strat_counts_equal_scatter_add(n, g1, g2, seed):
+    """The ``bincount`` occupancy equals the ``np.add.at`` scatter it replaced,
+    points on the upper edge included."""
+    rng = np.random.default_rng(seed)
+    points = rng.random((n, 3))
+    points[rng.random((n, 3)) < 0.1] = 1.0
+    counts = strat_counts(points, (2, 0), (g1, g2))
+    a = np.minimum((points[:, 2] * g1).astype(np.int64), g1 - 1)
+    b = np.minimum((points[:, 0] * g2).astype(np.int64), g2 - 1)
+    want = np.zeros((g1, g2), dtype=np.int64)
+    np.add.at(want, (a, b), 1)
+    assert counts.shape == (g1, g2) and counts.dtype == want.dtype
+    assert np.array_equal(counts, want)

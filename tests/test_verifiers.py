@@ -1,0 +1,293 @@
+"""The blocked counting kernels of ``check_oa`` and ``check_dm`` against the
+definition-level reference.
+
+The reference below is the per-pair loop: one ``bincount`` per column pair,
+in lexicographic pair order, with every ordered pair counted for difference
+matrices.  The kernels must return the same verdict, reason and witness on
+every input.  Most tests also shrink the kernels' block width, so that small
+arrays cross block boundaries the way large arrays do.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from nestfill import arrays
+from nestfill.algebra import GaloisGroup, ProductGroup, ResidueGroup, field_make, sub_table
+from nestfill.arrays import (
+    LevelArray,
+    Verdict,
+    cast_group,
+    check_dm,
+    check_oa,
+    kronecker_add,
+    subcols,
+)
+from nestfill.constructions import full_factorial, mult_table, rao_hamming_oa
+
+
+def reference_check_oa(a: LevelArray) -> Verdict:
+    """Strength-two pair counting, one column pair at a time."""
+    n, m = a.shape
+    if n == 0 or m == 0:
+        return Verdict(False, "oa", f"empty array: {n} rows, {m} columns")
+    if m == 1:
+        s = a.groups[0].order
+        if n % s:
+            return Verdict(False, "oa", f"{n} rows not divisible by {s} levels")
+        counts = np.bincount(a.data[:, 0], minlength=s)
+        if counts.min() != counts.max():
+            lvl = int(np.argmin(counts))
+            return Verdict(
+                False,
+                "oa",
+                "single column is not level-balanced",
+                {"level": a.groups[0].text_at(lvl), "count": int(counts[lvl]), "expected": n // s},
+            )
+        return Verdict(True, "oa")
+    for i in range(m):
+        si = a.groups[i].order
+        for j in range(i + 1, m):
+            sj = a.groups[j].order
+            if n % (si * sj):
+                return Verdict(
+                    False,
+                    "oa",
+                    f"{n} rows not divisible by {si}*{sj} level combinations",
+                    {"columns": (i, j)},
+                )
+            want = n // (si * sj)
+            codes = a.data[:, i] * sj + a.data[:, j]
+            counts = np.bincount(codes, minlength=si * sj)
+            bad = np.flatnonzero(counts != want)
+            if bad.size:
+                code = int(bad[0])
+                return Verdict(
+                    False,
+                    "oa",
+                    "unbalanced level pair",
+                    {
+                        "columns": (i, j),
+                        "levels": (a.groups[i].text_at(code // sj), a.groups[j].text_at(code % sj)),
+                        "count": int(counts[code]),
+                        "expected": want,
+                    },
+                )
+    return Verdict(True, "oa")
+
+
+def reference_check_dm(d: LevelArray) -> Verdict:
+    """Difference counting over every ordered column pair, one at a time."""
+    b, m = d.shape
+    if b == 0 or m == 0:
+        return Verdict(False, "dm", f"empty array: {b} rows, {m} columns")
+    g = d.uniform_group()
+    order = g.order
+    if b % order:
+        return Verdict(False, "dm", f"{b} rows not divisible by group order {order}")
+    want = b // order
+    sub = sub_table(g)
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            diffs = sub[d.data[:, i], d.data[:, j]]
+            counts = np.bincount(diffs, minlength=order)
+            bad = np.flatnonzero(counts != want)
+            if bad.size:
+                e = int(bad[0])
+                return Verdict(
+                    False,
+                    "dm",
+                    "unbalanced column difference",
+                    {
+                        "columns": (i, j),
+                        "element": g.text_at(e),
+                        "count": int(counts[e]),
+                        "expected": want,
+                    },
+                )
+    return Verdict(True, "dm")
+
+
+def assert_same(a: LevelArray, widths=(None,)) -> None:
+    """Both kernels agree with the reference at every block width given
+    (``None`` is the library's own)."""
+    want_oa = reference_check_oa(a)
+    try:
+        want_dm = reference_check_dm(a)
+    except ValueError as e:
+        want_dm = e
+    for w in widths:
+        with mock.patch.object(arrays, "_block_width", arrays._block_width if w is None else lambda n: w):
+            assert check_oa(a) == want_oa, w
+            if isinstance(want_dm, ValueError):
+                try:
+                    check_dm(a)
+                except ValueError as e:
+                    assert str(e) == str(want_dm)
+                else:
+                    raise AssertionError("check_dm accepted mixed alphabets")
+            else:
+                assert check_dm(a) == want_dm, w
+
+
+WIDTHS = (1, 2, 3, 5, 16, None)
+
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+
+small_groups = st.one_of(
+    st.integers(1, 6).map(ResidueGroup),
+    st.sampled_from(SMALL_FIELDS).map(lambda pu: GaloisGroup(field_make(*pu))),
+)
+alphabets = st.one_of(
+    small_groups,
+    st.tuples(small_groups, small_groups).map(ProductGroup),
+)
+
+
+def _plant(data: np.ndarray, groups, draw) -> np.ndarray:
+    """Swap two cells of a column, or set one cell to another level."""
+    n, m = data.shape
+    data = data.copy()
+    j = draw(st.integers(0, m - 1))
+    r1, r2 = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        data[[r1, r2], j] = data[[r2, r1], j]
+    else:
+        data[r1, j] = draw(st.integers(0, groups[j].order - 1))
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_random_arrays_match_reference(data):
+    groups = tuple(data.draw(st.lists(alphabets, min_size=1, max_size=8)))
+    n = data.draw(st.integers(0, 40))
+    cells = data.draw(
+        st.lists(st.integers(0, 10**6), min_size=n * len(groups), max_size=n * len(groups))
+    )
+    orders = np.array([g.order for g in groups])
+    grid = (np.array(cells, dtype=np.int64).reshape(n, len(groups)) % orders).astype(np.int64)
+    assert_same(LevelArray(groups, grid), WIDTHS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_near_orthogonal_arrays_match_reference(data):
+    """Full factorials (which pass), cut to a prefix of their rows, with one
+    planted change: balanced pairs, divisibility failures partway along a
+    row of pairs, and count failures in any block."""
+    groups = tuple(data.draw(st.lists(alphabets, min_size=2, max_size=5)))
+    assume(np.prod([g.order for g in groups]) <= 2048)
+    base = full_factorial(groups).data
+    rows = data.draw(st.integers(1, base.shape[0]))
+    grid = base[:rows]
+    if data.draw(st.booleans()):
+        grid = _plant(grid, groups, data.draw)
+    assert_same(LevelArray(groups, grid), WIDTHS)
+
+
+def _passing_dms():
+    gf2, gf3, gf4, gf8 = (field_make(*pu) for pu in [(2, 1), (3, 1), (2, 2), (2, 3)])
+    z3, z2z2 = ResidueGroup(3), ProductGroup((ResidueGroup(2), ResidueGroup(2)))
+    mt4 = mult_table(gf4)
+    return [
+        mt4,
+        mult_table(gf8),
+        kronecker_add(mt4, mt4),
+        kronecker_add(mult_table(gf3), subcols(mult_table(gf3), [1, 2])),
+        cast_group(mult_table(gf3), z3),
+        cast_group(kronecker_add(mt4, subcols(mt4, [0, 3])), z2z2),
+        kronecker_add(mult_table(gf2), mult_table(gf2)),
+    ]
+
+
+def _passing_oas():
+    gf3, gf4 = field_make(3, 1), field_make(2, 2)
+    rh4 = rao_hamming_oa(gf4, 2)
+    return [
+        rh4,
+        rao_hamming_oa(gf3, 3),
+        kronecker_add(rh4, mult_table(gf4)),
+        full_factorial((ResidueGroup(6), ResidueGroup(2), GaloisGroup(gf3))),
+    ]
+
+
+PASSING = _passing_dms() + _passing_oas()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_planted_defects_match_reference(data):
+    """Known OAs and DMs with one swapped pair or changed cell at a random
+    position, counted at several block widths."""
+    a = data.draw(st.sampled_from(PASSING))
+    planted = LevelArray(a.groups, _plant(a.data, a.groups, data.draw))
+    assert_same(planted, WIDTHS)
+
+
+def test_passing_objects_match_reference():
+    for a in _passing_dms():
+        assert check_dm(a)
+    for a in _passing_oas():
+        assert check_oa(a)
+    for a in PASSING:
+        assert_same(a, WIDTHS)
+
+
+def test_defect_past_the_first_block_at_library_width():
+    """At 4096 rows the library counts 16 columns a block; a swap in column
+    20 is found in the second block with the reference's witness."""
+    gf16 = field_make(2, 4)
+    big = kronecker_add(rao_hamming_oa(gf16, 2), subcols(mult_table(gf16), [0, 1]))
+    assert arrays._block_width(big.n_rows) <= 20
+    assert check_oa(big)
+    col = big.data[:, 20]
+    r1 = 5
+    r2 = int(np.flatnonzero((col != col[r1]) & (big.data[:, 0] != big.data[r1, 0]))[0])
+    data = big.data.copy()
+    data[[r1, r2], 20] = data[[r2, r1], 20]
+    planted = LevelArray(big.groups, data)
+    v = check_oa(planted)
+    assert not v and v.witness["columns"] == (0, 20)
+    assert v == reference_check_oa(planted)
+
+
+def test_degenerate_shapes_match_reference():
+    gf4 = GaloisGroup(field_make(2, 2))
+    z6 = ResidueGroup(6)
+    cases = [
+        LevelArray((gf4, gf4), np.zeros((0, 2), dtype=np.int64)),
+        LevelArray((), np.zeros((4, 0), dtype=np.int64)),
+        LevelArray((), np.zeros((0, 0), dtype=np.int64)),
+        LevelArray((gf4,), np.arange(4)[:, None]),
+        LevelArray((gf4,), np.array([[0], [1], [1], [3]])),
+        LevelArray((gf4,), np.arange(3)[:, None]),
+        LevelArray((z6,), np.arange(12)[:, None] % 6),
+    ]
+    for a in cases:
+        assert_same(a, WIDTHS)
+
+
+def test_dm_counts_only_one_ordering():
+    """A failing ordered pair (j, i), j > i, is reported as (i, j): the
+    kernel never counts (j, i), and the reference reaches (i, j) first."""
+    gf4 = field_make(2, 2)
+    d = mult_table(gf4).data.copy()
+    d[0, 3] = d[1, 3]
+    a = LevelArray((GaloisGroup(gf4),) * 4, d)
+    v = check_dm(a)
+    assert not v and v.witness["columns"][0] < v.witness["columns"][1]
+    assert v == reference_check_dm(a)
+
+
+def test_wide_alphabets_use_int64_codes():
+    """Pair codes past 2**31 switch the column-major copy to int64."""
+    z1, wide = ResidueGroup(1), ResidueGroup(50000)
+    grid = np.zeros((50000, 3), dtype=np.int64)
+    grid[:, 1] = np.arange(50000)
+    assert check_oa(LevelArray((z1, wide, z1), grid.copy()))
+    grid[7, 1] = 8
+    assert_same(LevelArray((z1, wide, z1), grid), (2, None))
