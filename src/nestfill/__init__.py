@@ -33,6 +33,7 @@ from .arrays import (
     LevelArray,
     NestedPair,
     Verdict,
+    VerificationError,
     cast_group,
     check_dm,
     check_nested,
@@ -42,6 +43,7 @@ from .arrays import (
     kronecker_add,
     load_bundle,
     normalize_dm,
+    require,
     save_bundle,
     subcols,
     subrows,

@@ -12,16 +12,23 @@ every ordered level pair in every column pair, ``check_dm`` counts every
 group element in the difference of every column pair i < j (the differences
 of j and i are their negatives, so that ordering passes or fails with it).
 Both count the pairs of a leading column a block of later columns at a time,
-in one ``bincount`` over a column-major copy of the array.  The
-constructions elsewhere in the package are gated on these checkers, never
-the other way round.
+in one ``bincount`` over a column-major copy of the array.  The checkers
+are pure: every call counts.
+
+:func:`require` is the one gate on them.  It raises
+:class:`VerificationError` on a failing verdict and records a passing kind
+on the object it checked, so a later ``require`` of that kind on the same
+object returns without counting again.  The record is sound because arrays
+are immutable: a ``LevelArray`` copies any buffer handed to it from outside
+and marks it read-only, so no view taken before construction can reach it.
+The constructions elsewhere in the package are gated through ``require``,
+never the other way round.
 
 Entries are stored as integer element indices (see ``algebra``); the element
 objects and their text forms are recovered through the column alphabets.
-Arrays are immutable (read-only numpy buffers inside frozen dataclasses) and
-every function here is pure, so concurrent use needs no coordination.
-Checkers report the first violation in lexicographic column-pair order, so
-verdicts are deterministic.
+Apart from that record every function here is pure.  Checkers report the
+first violation in lexicographic column-pair order, so verdicts are
+deterministic.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ __all__ = [
     "check_oa",
     "check_dm",
     "check_nested",
+    "require",
     "collapse",
     "kronecker_add",
     "normalize_dm",
@@ -108,10 +116,15 @@ class FormatError(ValueError):
     does not."""
 
 
-def _ro(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    a.setflags(write=False)
-    return a
+class _Owned:
+    """A buffer that nestfill has just allocated, or the data of an existing
+    ``LevelArray``: ``LevelArray`` takes it over as it is.  Any other data
+    is copied."""
+
+    __slots__ = ("buf",)
+
+    def __init__(self, buf: np.ndarray) -> None:
+        self.buf = buf
 
 
 class _ByContent:
@@ -152,8 +165,13 @@ class LevelArray(_ByContent):
     label_group: Group | None = None
 
     def __post_init__(self) -> None:
-        data = _ro(np.atleast_2d(self.data))
+        if isinstance(self.data, _Owned):
+            data = np.atleast_2d(np.asarray(self.data.buf, dtype=np.int64))
+        else:
+            data = np.atleast_2d(np.array(self.data, dtype=np.int64))
+        data.setflags(write=False)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_passed", set())
         object.__setattr__(self, "groups", tuple(self.groups))
         if data.ndim != 2 or data.shape[1] != len(self.groups):
             raise ValueError(
@@ -240,7 +258,7 @@ class LevelArray(_ByContent):
             raise FormatError(f"{where}: no rows")
         if isinstance(groups, Group):
             groups = (groups,) * len(rows[0])
-        return cls(tuple(groups), _parse_grid(groups, rows, where))
+        return cls(tuple(groups), _Owned(_parse_grid(groups, rows, where)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,6 +291,7 @@ class NestedPair(_ByContent):
                     f"projection for column {j} has source {proj.source.describe()}, "
                     f"column alphabet is {g.describe()}"
                 )
+        object.__setattr__(self, "_passed", set())
 
     def _content(self) -> tuple:
         return (self.parent, self.child_rows, self.projections)
@@ -463,6 +482,29 @@ def check_nested(p: NestedPair, kind: str) -> Verdict:
     return Verdict(True, kind)
 
 
+def require(obj: LevelArray | NestedPair, kind: str, what: str) -> Verdict:
+    """Check ``obj`` as ``kind`` (``"oa"``, ``"dm"``, ``"noa"`` or
+    ``"ndm"``) and return the passing verdict; a failing one raises
+    :class:`VerificationError` headed by ``what``.
+
+    A pass is recorded on ``obj`` itself, so a later ``require`` of the same
+    kind on the same object returns without counting.  An equal object built
+    anew is counted again.  The checkers are looked up by name at each call.
+    """
+    if kind in obj._passed:
+        return Verdict(True, kind)
+    if kind == "oa":
+        verdict = check_oa(obj)
+    elif kind == "dm":
+        verdict = check_dm(obj)
+    else:
+        verdict = check_nested(obj, kind)
+    if not verdict:
+        raise VerificationError(f"{what}: {verdict.describe()}")
+    obj._passed.add(kind)
+    return verdict
+
+
 # ---------------------------------------------------------------------------
 # Structural operations.
 # ---------------------------------------------------------------------------
@@ -485,7 +527,7 @@ def collapse(a: LevelArray, projections: Sequence[Projection] | Projection) -> L
         cols.append(proj.np_table()[a.data[:, j]])
     return LevelArray(
         tuple(p.target for p in projections),
-        np.column_stack(cols),
+        _Owned(np.column_stack(cols)),
         row_labels=a.row_labels,
         label_group=a.label_group,
     )
@@ -507,18 +549,14 @@ def kronecker_add(a: LevelArray, d: LevelArray) -> LevelArray:
     na, ma = a.shape
     nd, md = d.shape
     out = tab[a.data[:, None, :, None], d.data[None, :, None, :]]
-    return LevelArray((ga,) * (ma * md), out.reshape(na * nd, ma * md))
+    return LevelArray((ga,) * (ma * md), _Owned(out.reshape(na * nd, ma * md)))
 
 
 def normalize_dm(d: LevelArray) -> LevelArray:
     """Subtract column one from every column, giving the [0 | uniform] form."""
-    verdict = check_dm(d)
-    if not verdict:
-        raise ValueError(f"input is not a difference matrix: {verdict.describe()}")
-    g = d.uniform_group()
-    sub = sub_table(g)
-    data = sub[d.data, d.data[:, [0]]]
-    return LevelArray(d.groups, data, row_labels=d.row_labels, label_group=d.label_group)
+    require(d, "dm", "input is not a difference matrix")
+    data = sub_table(d.uniform_group())[d.data, d.data[:, [0]]]
+    return LevelArray(d.groups, _Owned(data), row_labels=d.row_labels, label_group=d.label_group)
 
 
 def _check_indices(idx: Sequence[int], bound: int, what: str) -> tuple[int, ...]:
@@ -535,14 +573,14 @@ def subrows(a: LevelArray, rows: Sequence[int]) -> LevelArray:
     labels = None
     if a.row_labels is not None:
         labels = tuple(a.row_labels[i] for i in rows)
-    return LevelArray(a.groups, a.data[list(rows), :], row_labels=labels, label_group=a.label_group)
+    return LevelArray(a.groups, _Owned(a.data[list(rows), :]), row_labels=labels, label_group=a.label_group)
 
 
 def subcols(a: LevelArray, cols: Sequence[int]) -> LevelArray:
     cols = _check_indices(cols, a.n_cols, "column")
     return LevelArray(
         tuple(a.groups[j] for j in cols),
-        a.data[:, list(cols)],
+        _Owned(a.data[:, list(cols)]),
         row_labels=a.row_labels,
         label_group=a.label_group,
     )
@@ -554,7 +592,7 @@ def hstack(arrays: Sequence[LevelArray]) -> LevelArray:
     if any(a.n_rows != n for a in arrays):
         raise ValueError("row counts differ")
     groups = tuple(g for a in arrays for g in a.groups)
-    return LevelArray(groups, np.hstack([a.data for a in arrays]))
+    return LevelArray(groups, _Owned(np.hstack([a.data for a in arrays])))
 
 
 def cast_group(a: LevelArray, group: Group) -> LevelArray:
@@ -569,7 +607,7 @@ def cast_group(a: LevelArray, group: Group) -> LevelArray:
         raise ValueError(
             f"cannot cast {old.describe()} to {group.describe()}: addition tables differ"
         )
-    return LevelArray((group,) * a.n_cols, a.data, row_labels=a.row_labels, label_group=a.label_group)
+    return LevelArray((group,) * a.n_cols, _Owned(a.data), row_labels=a.row_labels, label_group=a.label_group)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +669,7 @@ def read_array_csv(path: str, groups: Sequence[Group]) -> LevelArray:
     header = lines[0].split(",")
     if len(header) != len(groups):
         raise FormatError(f"{path}: header has {len(header)} columns, expected {len(groups)}")
-    return LevelArray(tuple(groups), _parse_grid(groups, [ln.split(",") for ln in lines[1:]], path))
+    return LevelArray(tuple(groups), _Owned(_parse_grid(groups, [ln.split(",") for ln in lines[1:]], path)))
 
 
 def _sidecar_dict(obj: LevelArray | NestedPair, kind: str | None) -> dict:
@@ -683,7 +721,7 @@ def load_bundle(prefix: str) -> tuple[LevelArray | NestedPair, str | None]:
         if meta.get("label_group"):
             label_group = group_from_dict(meta["label_group"])
             labels = tuple(label_group.parse_index(t) for t in meta["row_labels"])
-            arr = LevelArray(arr.groups, arr.data, row_labels=labels, label_group=label_group)
+            arr = LevelArray(arr.groups, _Owned(arr.data), row_labels=labels, label_group=label_group)
         nested = meta.get("nested")
         if nested:
             projections = [projection_from_dict(p) for p in nested["projections"]]

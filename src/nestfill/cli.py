@@ -2,9 +2,9 @@
 
 Verbs: construct, verify, lhd, export, catalog, info.  Exit codes are part
 of the contract: 0 success, 2 usage or parameter errors, 3 verification
-failure, 4 I/O or file-format errors.  Every construct invocation verifies
-its output before anything reaches disk, and jitter randomness only ever
-comes from an explicit ``--seed``.
+failure (of the output or of any input), 4 I/O or file-format errors.
+Every construct invocation verifies its output before anything reaches
+disk, and jitter randomness only ever comes from an explicit ``--seed``.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from .arrays import (
     check_nested,
     check_oa,
     load_bundle,
+    require,
     save_bundle,
     subcols,
     _atomic_write,
 )
 from .constructions import (
-    ConstructionError,
     full_factorial,
     mult_table,
     ndm_p3,
@@ -59,10 +59,6 @@ from .algebra import truncation
 
 
 class UsageError(Exception):
-    pass
-
-
-class VerifyFailed(Exception):
     pass
 
 
@@ -206,25 +202,6 @@ CONSTRUCTION_NAMES = (
 ).split()
 
 
-def _self_verify(obj, kind: str) -> str:
-    if kind == "oa":
-        v = check_oa(obj)
-    elif kind == "dm":
-        v = check_dm(obj)
-    elif kind in ("noa", "ndm"):
-        v = check_nested(obj, kind)
-    elif kind == "mixed-dm":
-        # the construction gates its own sub-matrices; re-check the blocks
-        v = check_dm(subcols(obj, [j for j, g in enumerate(obj.groups) if g == obj.groups[0]]))
-    elif kind == "validation":
-        v = check_nested(obj[1], "noa")
-    else:  # pragma: no cover
-        raise UsageError(f"unknown kind {kind!r}")
-    if not v:
-        raise VerifyFailed(v.describe())
-    return v.describe()
-
-
 def cmd_construct(args) -> int:
     params = {}
     for piece in args.params:
@@ -233,14 +210,20 @@ def cmd_construct(args) -> int:
             raise UsageError(f"parameters look like key=value, got {piece!r}")
         params[k] = v
     obj, kind = _construct(args.name, params)
-    msg = _self_verify(obj, kind)
+    # the constructors gate their outputs, so these return the carried verdict
     if kind == "validation":
         full, pair, shared = obj
+        msg = require(pair, "noa", args.name).describe()
         save_bundle(args.out + "_full", full, "oa")
         save_bundle(args.out, pair, "noa")
         print(f"{args.name}: full array {full.shape}, shared columns {list(shared)}")
         print(msg)
         return 0
+    if kind == "mixed-dm":  # gated block by block; the paired block is checked anew
+        paired = [j for j, g in enumerate(obj.groups) if g == obj.groups[0]]
+        msg = require(subcols(obj, paired), "dm", args.name).describe()
+    else:
+        msg = require(obj, kind, args.name).describe()
     save_bundle(args.out, obj, kind)
     arr = obj.parent if isinstance(obj, NestedPair) else obj
     print(f"{args.name}: {arr.n_rows} runs x {arr.n_cols} columns -> {args.out}.csv")
@@ -275,8 +258,10 @@ def _load(prefix: str):
 
 
 def _write_design_csv(path: str, points) -> None:
-    lines = [",".join(f"x{j + 1}" for j in range(points.shape[1]))]
-    lines.extend(",".join(f"{v:.12g}" for v in row) for row in points)
+    m = points.shape[1]
+    fmt = ",".join(["%.12g"] * m)
+    lines = [",".join(f"x{j + 1}" for j in range(m))]
+    lines.extend(fmt % tuple(row) for row in points.tolist())
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -313,7 +298,7 @@ def cmd_lhd(args) -> int:
                 f"subset {gh[0]}x{gh[1]} {'uniform' if uh else 'NOT uniform'}"
             )
     if not ok:
-        raise VerifyFailed("stratification check failed")
+        raise VerificationError("stratification check failed")
     return 0
 
 
@@ -412,7 +397,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConstructionError, VerifyFailed, VerificationError) as e:
+    except VerificationError as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 3
     except (IoFailed, FormatError, OSError) as e:

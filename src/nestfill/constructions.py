@@ -6,9 +6,12 @@ The families implemented here follow Qian, Ai and Wu (2009), Ann. Statist.
 fields with nested row subsets, Kronecker-product compositions with
 orthogonal arrays, the zero-sum family over residue rings, the Rao-Hamming
 orthogonal arrays, and the modulus-projection family of Qian, Tang and Wu
-(2009).  Every constructor verifies its own output with the definition-level
-checkers from ``arrays`` before returning; a failure raises
-:class:`ConstructionError`, so no unverified object ever escapes.
+(2009).  Every constructor gates its inputs and its output through
+``arrays.require`` before returning; a failure raises
+:class:`ConstructionError` (the same class as ``arrays.VerificationError``),
+so no unverified object ever escapes.  An input that has already passed the
+same gate is not counted again.  The plain tables (``mult_table``,
+``trivial_oa``, ``full_factorial``) are gated where they are used.
 
 Two conventions are fixed so results are reproducible cell for cell:
 
@@ -44,11 +47,12 @@ from .algebra import (
 from .arrays import (
     LevelArray,
     NestedPair,
+    VerificationError,
+    _Owned,
     check_dm,
-    check_nested,
-    check_oa,
     collapse,
     kronecker_add,
+    require,
     subcols,
     subrows,
 )
@@ -74,13 +78,9 @@ __all__ = [
 ]
 
 
-class ConstructionError(RuntimeError):
-    """A constructor's own verification gate failed; indicates a bug."""
-
-
-def _gate(verdict, what: str) -> None:
-    if not verdict:
-        raise ConstructionError(f"{what}: {verdict.describe()}")
+#: Raised by a failing gate, whether on an input or on a constructor's own
+#: output; kept under this name for existing callers.
+ConstructionError = VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def _table_columns(f: Field, cols: np.ndarray, rows: np.ndarray) -> LevelArray:
     g = GaloisGroup(f)
     return LevelArray(
         (g,) * len(cols),
-        mul_table(f)[np.ix_(rows, cols)],
+        _Owned(mul_table(f)[np.ix_(rows, cols)]),
         row_labels=tuple(rows),
         label_group=g,
     )
@@ -140,8 +140,7 @@ def full_factorial(groups: Sequence[Group]) -> LevelArray:
     """All level combinations, first column varying slowest."""
     groups = tuple(groups)
     grids = np.meshgrid(*[np.arange(g.order) for g in groups], indexing="ij")
-    data = np.column_stack([g.ravel() for g in grids])
-    return LevelArray(groups, data)
+    return LevelArray(groups, _Owned(np.column_stack([g.ravel() for g in grids])))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ def _ndm_from_labels(
     pos[row_order] = np.arange(len(row_order))
     proj = truncation(f, target)
     pair = NestedPair(d1, tuple(pos[child_elems]), (proj,) * len(col_elems))
-    _gate(check_nested(pair, "ndm"), what)
+    require(pair, "ndm", what)
     return pair
 
 
@@ -322,7 +321,7 @@ def _linear_entries(f: Field, rows: np.ndarray, dirs: np.ndarray) -> LevelArray:
     data = np.zeros((len(rows), len(dirs)), dtype=np.int64)
     for i in range(rows.shape[1]):
         data = add[data, mul[rows[:, i, None], dirs[None, :, i]]]
-    return LevelArray((g,) * len(dirs), data)
+    return LevelArray((g,) * len(dirs), _Owned(data))
 
 
 def rao_hamming_oa(f: Field, k: int) -> LevelArray:
@@ -336,7 +335,7 @@ def rao_hamming_oa(f: Field, k: int) -> LevelArray:
         raise ValueError(f"k must be >= 2, got {k}")
     s = f.order
     out = _linear_entries(f, _vectors(s, k), _canonical_directions(s, k))
-    _gate(check_oa(out), f"rao_hamming_oa(GF({s}), k={k})")
+    require(out, "oa", f"rao_hamming_oa(GF({s}), k={k})")
     return out
 
 
@@ -369,7 +368,7 @@ def qtw_noa(f1: Field, f2: Field, k: int) -> NestedPair:
     child_rows = tuple(np.flatnonzero((rows < s2).all(axis=1)))
     proj = modulus(f1, f2)
     pair = NestedPair(parent, child_rows, (proj,) * len(dirs))
-    _gate(check_nested(pair, "noa"), f"qtw_noa(GF({s1}), GF({s2}), k={k})")
+    require(pair, "noa", f"qtw_noa(GF({s1}), GF({s2}), k={k})")
     return pair
 
 
@@ -382,8 +381,8 @@ def noa_theorem4(a: LevelArray, ndm: NestedPair) -> NestedPair:
     """Nested orthogonal array from an orthogonal array and a nested
     difference matrix: parent ``A (+) D1``, child rows the D-child rows
     inside every block, collapse inherited from the difference matrix."""
-    _gate(check_oa(a), "noa_theorem4: input array")
-    _gate(check_nested(ndm, "ndm"), "noa_theorem4: input nested pair")
+    require(a, "oa", "noa_theorem4: input array")
+    require(ndm, "ndm", "noa_theorem4: input nested pair")
     parent = kronecker_add(a, ndm.parent)
     b = ndm.parent.n_rows
     child_rows = tuple(
@@ -393,7 +392,7 @@ def noa_theorem4(a: LevelArray, ndm: NestedPair) -> NestedPair:
         ndm.projections[kk] for _ in range(a.n_cols) for kk in range(ndm.parent.n_cols)
     )
     pair = NestedPair(parent, child_rows, projections)
-    _gate(check_nested(pair, "noa"), "noa_theorem4")
+    require(pair, "noa", "noa_theorem4")
     return pair
 
 
@@ -401,8 +400,8 @@ def noa_theorem5(noa: NestedPair, d: LevelArray) -> NestedPair:
     """New nested orthogonal array from an existing one and a difference
     matrix: parent ``A1 (+) D``, child rows all Kronecker rows spawned by the
     existing child rows, collapse inherited from the orthogonal array."""
-    _gate(check_nested(noa, "noa"), "noa_theorem5: input nested pair")
-    _gate(check_dm(d), "noa_theorem5: input difference matrix")
+    require(noa, "noa", "noa_theorem5: input nested pair")
+    require(d, "dm", "noa_theorem5: input difference matrix")
     parent = kronecker_add(noa.parent, d)
     b = d.n_rows
     child_rows = tuple(i * b + r for i in noa.child_rows for r in range(b))
@@ -410,7 +409,7 @@ def noa_theorem5(noa: NestedPair, d: LevelArray) -> NestedPair:
         noa.projections[j] for j in range(noa.parent.n_cols) for _ in range(d.n_cols)
     )
     pair = NestedPair(parent, child_rows, projections)
-    _gate(check_nested(pair, "noa"), "noa_theorem5")
+    require(pair, "noa", "noa_theorem5")
     return pair
 
 
@@ -426,14 +425,11 @@ def zero_sum_noa(s1: int, s2: int) -> NestedPair:
     if s2 < 1 or s1 % s2:
         raise ValueError(f"s2 must divide s1; got s1={s1}, s2={s2}")
     g = ResidueGroup(s1)
-    data = [
-        (i, j, (-(i + j)) % s1) for i in range(s1) for j in range(s1)
-    ]
-    parent = LevelArray((g,) * 3, np.asarray(data, dtype=np.int64))
+    parent = LevelArray((g,) * 3, [(i, j, (-(i + j)) % s1) for i in range(s1) for j in range(s1)])
     child_rows = tuple(i * s1 + j for i in range(s2) for j in range(s2))
     proj = residue(g, s2)
     pair = NestedPair(parent, child_rows, (proj,) * 3)
-    _gate(check_nested(pair, "noa"), f"zero_sum_noa({s1}, {s2})")
+    require(pair, "noa", f"zero_sum_noa({s1}, {s2})")
     return pair
 
 
@@ -455,13 +451,13 @@ def validation_pair(
     group = a.uniform_group()
     if not isinstance(group, GaloisGroup) or (group.field.p, group.field.u) != (2, m + 1):
         raise ValueError(f"array must be over GF(2^{m + 1})")
-    _gate(check_oa(a), "validation_pair: input array")
+    require(a, "oa", "validation_pair: input array")
     f = group.field
     g = field_make(2, m)
     d0 = mult_table(f)
     s1 = f.order
     full = kronecker_add(a, d0)
-    _gate(check_oa(full), "validation_pair: full parent")
+    require(full, "oa", "validation_pair: full parent")
     shared = tuple(j * s1 + t for j in range(a.n_cols) for t in range(4))
     r = _labels(f, m - 2)
     d2_rows = np.union1d(r, _shift(f, _offsets_sum(f, [m, m - 1]), r))
@@ -470,7 +466,7 @@ def validation_pair(
     )
     proj = truncation(f, g)
     pair = NestedPair(subcols(full, shared), child_rows, (proj,) * len(shared))
-    _gate(check_nested(pair, "noa"), f"validation_pair(m={m})")
+    require(pair, "noa", f"validation_pair(m={m})")
     return full, pair, shared
 
 
@@ -495,9 +491,7 @@ def search_nested_rows(
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    verdict = check_dm(d)
-    if not verdict:
-        raise ValueError(f"input is not a difference matrix: {verdict.describe()}")
+    require(d, "dm", "input is not a difference matrix")
     if projection.source != d.uniform_group():
         raise ValueError("projection source does not match the array alphabet")
     if child_size < 1 or child_size > d.n_rows:

@@ -16,8 +16,8 @@ Blocks are synchronized by a shared Kronecker row index, so the parent row
 ``r`` of every difference-matrix block.  The optional run-index column is
 the ``b``-level factor listing ``r``.
 
-As everywhere else, each constructor verifies its output with the counting
-checkers before returning.
+As everywhere else, each constructor gates its inputs and its output
+through ``arrays.require`` before returning.
 """
 
 from __future__ import annotations
@@ -40,15 +40,14 @@ from .algebra import (
 from .arrays import (
     LevelArray,
     NestedPair,
-    check_dm,
-    check_nested,
-    check_oa,
+    _Owned,
     hstack,
     kronecker_add,
+    require,
     subcols,
     subrows,
 )
-from .constructions import _gate, trivial_oa
+from .constructions import trivial_oa
 
 __all__ = [
     "ww_from_noas",
@@ -103,16 +102,14 @@ def ww_from_noas(
     match its block's alphabet.  With ``include_b`` a ``b``-level run-index
     column is appended (its levels survive uncollapsed in the child).
     """
-    _gate(check_nested(noa, "noa"), "ww_from_noas: input nested array")
+    require(noa, "noa", "ww_from_noas: input nested array")
     blocks = [(tuple(cols), dm) for cols, dm in blocks]
     _validate_blocks(noa.parent, blocks)
     _check_distinct_primes([noa.parent.groups[cols[0]].order for cols, _ in blocks])
     b = blocks[0][1].n_rows
     parts, projections = [], []
     for cols, dm in blocks:
-        verdict = check_dm(dm)
-        if not verdict:
-            raise ValueError(f"block difference matrix fails: {verdict.describe()}")
+        require(dm, "dm", "ww_from_noas: block difference matrix")
         if dm.n_rows != b:
             raise ValueError("all block difference matrices must share one row count")
         sub = subcols(noa.parent, cols)
@@ -129,7 +126,7 @@ def ww_from_noas(
     parent = hstack(parts)
     child_rows = tuple(ci * b + r for ci in noa.child_rows for r in range(b))
     pair = NestedPair(parent, child_rows, tuple(projections))
-    _gate(check_nested(pair, "noa"), "ww_from_noas")
+    require(pair, "noa", "ww_from_noas")
     return pair
 
 
@@ -164,7 +161,7 @@ def ww_from_ndms(
     optional run-index column is b1-level in the parent and b2-level in the
     child; that needs b2 to divide b1.
     """
-    _gate(check_oa(a), "ww_from_ndms: input array")
+    require(a, "oa", "ww_from_ndms: input array")
     blocks = [(tuple(cols), ndm) for cols, ndm in blocks]
     _validate_blocks(a, blocks)
     _check_distinct_primes([a.groups[cols[0]].order for cols, _ in blocks])
@@ -172,7 +169,7 @@ def ww_from_ndms(
     b2 = blocks[0][1].child_size
     parts, projections = [], []
     for cols, ndm in blocks:
-        _gate(check_nested(ndm, "ndm"), "ww_from_ndms: input nested pair")
+        require(ndm, "ndm", "ww_from_ndms: input nested pair")
         if (ndm.parent.n_rows, ndm.child_size) != (b1, b2):
             raise ValueError("all nested difference matrices must share (b1, b2)")
         ndm = _child_first(ndm)
@@ -194,7 +191,7 @@ def ww_from_ndms(
     parent = hstack(parts)
     child_rows = tuple(i * b1 + r for i in range(n) for r in range(b2))
     pair = NestedPair(parent, child_rows, tuple(projections))
-    _gate(check_nested(pair, "noa"), "ww_from_ndms")
+    require(pair, "noa", "ww_from_ndms")
     return pair
 
 
@@ -208,9 +205,8 @@ def mixed_dm_lemma7(d1: LevelArray, d2: LevelArray, c0: int) -> LevelArray:
     over j).  The paired block, each trailing block, and each
     component-plus-trailing combination are verified as difference matrices.
     """
-    v1, v2 = check_dm(d1), check_dm(d2)
-    if not v1 or not v2:
-        raise ValueError(f"inputs must be difference matrices: {(v1 if not v1 else v2).describe()}")
+    require(d1, "dm", "mixed_dm_lemma7: input d1")
+    require(d2, "dm", "mixed_dm_lemma7: input d2")
     c1, c2 = d1.n_cols, d2.n_cols
     if not 1 <= c0 <= min(c1, c2):
         raise ValueError(f"c0 must lie in 1..{min(c1, c2)}, got {c0}")
@@ -220,23 +216,20 @@ def mixed_dm_lemma7(d1: LevelArray, d2: LevelArray, c0: int) -> LevelArray:
     i_idx = np.repeat(np.arange(b1), b2)
     j_idx = np.tile(np.arange(b2), b1)
     pair_block = d1.data[i_idx, :c0] * g2.order + d2.data[j_idx, :c0]
-    cols = [pair_block, d1.data[i_idx, c0:], d2.data[j_idx, c0:]]
-    data = np.hstack(cols)
+    data = np.hstack([pair_block, d1.data[i_idx, c0:], d2.data[j_idx, c0:]])
     groups = (paired,) * c0 + (g1,) * (c1 - c0) + (g2,) * (c2 - c0)
-    out = LevelArray(groups, data)
-    _gate(check_dm(subcols(out, range(c0))), "mixed_dm_lemma7: paired block")
+    out = LevelArray(groups, _Owned(data))
+    require(subcols(out, range(c0)), "dm", "mixed_dm_lemma7: paired block")
     for j, (g, lo, hi) in enumerate(
         [(g1, c0, c1), (g2, c1, c1 + c2 - c0)], start=1
     ):
         trailing = list(range(lo, hi))
         if trailing:
-            _gate(check_dm(subcols(out, trailing)), f"mixed_dm_lemma7: trailing block {j}")
+            require(subcols(out, trailing), "dm", f"mixed_dm_lemma7: trailing block {j}")
         sigma = component(paired, j - 1)
-        sigma_cols = LevelArray(
-            (g,) * c0, sigma.np_table()[out.data[:, :c0]]
-        )
+        sigma_cols = LevelArray((g,) * c0, _Owned(sigma.np_table()[out.data[:, :c0]]))
         combined = hstack([sigma_cols, subcols(out, trailing)]) if trailing else sigma_cols
-        _gate(check_dm(combined), f"mixed_dm_lemma7: component {j} with trailing block")
+        require(combined, "dm", f"mixed_dm_lemma7: component {j} with trailing block")
     return out
 
 
@@ -300,5 +293,5 @@ def noa_theorem9(
     rows = tuple(ci * n1 + r for ci in c2_rows for r in d_child)
     projections = (delta0,) * k0 + (delta1,) * k1 + (delta2,) * k2
     pair = NestedPair(parent, rows, projections)
-    _gate(check_nested(pair, "noa"), "noa_theorem9")
+    require(pair, "noa", "noa_theorem9")
     return pair

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import NestedPair, VerificationError, _array_key, _ByContent, check_nested
+from .arrays import NestedPair, _array_key, _ByContent, require
 
 __all__ = [
     "RelabeledArray",
@@ -86,9 +86,7 @@ def relabel(p: NestedPair) -> RelabeledArray:
     ordered by collapsed-level index, levels inside a group by their own
     index, and group i takes labels ``(i-1)e_j + 1 .. i e_j``.
     """
-    verdict = check_nested(p, "noa")
-    if not verdict:
-        raise VerificationError(f"input does not verify as nested: {verdict.describe()}")
+    require(p, "noa", "input does not verify as nested")
     n, m = p.parent.shape
     cols, sizes, counts = [], [], []
     for j, proj in enumerate(p.projections):

@@ -224,6 +224,20 @@ def test_non_prime_power_order_exit_2(tmp_path, s):
     assert run("construct", "multtable", f"s={s}", "--out", str(tmp_path / "x")) == 2
 
 
+@pytest.mark.parametrize("argv", [["theorem5", "dm=ex10_a2"], ["lemma7", "d1=ex10_a2"], ["thm7", "plan"]])
+def test_failing_input_dm_exit_3(tmp_path, capsys, argv):
+    # ex10_a2 passes as an OA after collapse but is not a difference matrix
+    if argv[-1] == "plan":
+        plan = {"parent": "ex12_noa", "blocks": [{"cols": [0], "ref": "d_12_6_6"}, {"cols": [1], "ref": "ex10_a2"}]}
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        argv = [argv[0], f"plan={tmp_path / 'plan.json'}"]
+    capsys.readouterr()
+    assert run("construct", *argv, "--out", str(tmp_path / "x")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed:") and "DM: FAIL" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_lhd_on_failing_nested_pair_exit_3(tmp_path, capsys):
     prefix = str(tmp_path / "t4")
     assert run("construct", "theorem4", "--out", prefix) == 0

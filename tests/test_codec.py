@@ -214,6 +214,35 @@ def test_written_bundle_digests(tmp_path, capsys, argv, files):
 
 
 @pytest.mark.parametrize(
+    "flags, files",
+    [
+        (
+            ["--seed", "7"],
+            {
+                "d_dl.csv": "aabc3cf27d51c416feacfef0ee67b07da4d8274d",
+                "d_dh.csv": "ba42f6938480f236eeb4c2bb50fd8dcbbf20e3e8",
+                "d_meta.json": "185d6156e692108c2139bb00853618b1b74a0515",
+            },
+        ),
+        (
+            ["--midpoint"],
+            {
+                "d_dl.csv": "9569582a736260b6d4a83c25d189ae973cf374dc",
+                "d_dh.csv": "d4dc61508cc4666e7cf3e1fd9da431e9a74deed4",
+                "d_meta.json": "5fda174648d3630a38adf4485ff6e5d75c276169",
+            },
+        ),
+    ],
+)
+def test_written_design_digests(tmp_path, monkeypatch, capsys, flags, files):
+    """``lhd`` output, digests recorded before the row-at-a-time writer."""
+    monkeypatch.chdir(tmp_path)  # the metadata records the bundle prefix as given
+    assert main(["construct", "theorem4", "a=raohamming:s=8,k=2", "ndm=theorem1:m=2", "--out", "b"]) == 0
+    assert main(["lhd", "b", *flags, "--out", "d"]) == 0
+    assert {name: _sha((tmp_path / name).read_bytes()) for name in files} == files
+
+
+@pytest.mark.parametrize(
     "name, digest",
     [
         ("dulmage_12_6_12", "e335035fa145e000ba67c445230f69a21627ecb0"),

@@ -291,3 +291,28 @@ def test_wide_alphabets_use_int64_codes():
     assert check_oa(LevelArray((z1, wide, z1), grid.copy()))
     grid[7, 1] = 8
     assert_same(LevelArray((z1, wide, z1), grid), (2, None))
+
+
+def _one_cell_mutants(a: LevelArray):
+    """Every array that differs from ``a`` in exactly one cell."""
+    for (r, c), v in np.ndenumerate(a.data):
+        for w in range(a.groups[c].order):
+            if w != v:
+                data = a.data.copy()
+                data[r, c] = w
+                yield LevelArray(a.groups, data)
+
+
+def test_every_one_cell_mutant_of_a_tight_array_fails():
+    """An index-1 OA and a multiplication-table DM have no slack: changing
+    any one cell unbalances some pair.  This guards the verifiers without
+    the per-pair reference above."""
+    count = 0
+    for p, u in ((3, 1), (2, 2), (5, 1)):
+        f = field_make(p, u)
+        for a, check in ((rao_hamming_oa(f, 2), check_oa), (mult_table(f), check_dm)):
+            assert check(a)
+            for mutant in _one_cell_mutants(a):
+                assert not check(mutant)
+                count += 1
+    assert count == 1078
