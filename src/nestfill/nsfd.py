@@ -3,8 +3,13 @@
 The pipeline: relabel the levels of a verified nested pair with
 group-consecutive integers, expand each level into a block of Latin
 hypercube ranks, jitter the ranks into the unit cube, and read off the
-child design as the rows belonging to the nested subarray.  Bivariate
-stratification of the results can be measured with :func:`strat_counts`.
+child design as the rows belonging to the nested subarray.
+
+Bivariate stratification is the strength-two OA property of the binned
+design (Owen 1992, Tang 1993): every column pair of a design is uniform on
+its ``s_j x s_k`` grid exactly when the design binned into its level grid
+passes ``check_oa``.  ``nestfill lhd`` checks the full design and the child
+that way; :func:`strat_counts` is the per-pair view of the same counts.
 
 Labeling is canonical: within each column the level groups (the fibers of
 that column's projection) are ordered by the target element's lexicographic
@@ -26,10 +31,12 @@ Seeded within-level rank permutation is available separately through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .arrays import NestedPair, _array_key, _ByContent, require
+from .algebra import ResidueGroup
+from .arrays import LevelArray, NestedPair, _array_key, _ByContent, _Owned, require
 
 __all__ = [
     "RelabeledArray",
@@ -87,21 +94,13 @@ def relabel(p: NestedPair) -> RelabeledArray:
     index, and group i takes labels ``(i-1)e_j + 1 .. i e_j``.
     """
     require(p, "noa", "input does not verify as nested")
-    n, m = p.parent.shape
     cols, sizes, counts = [], [], []
     for j, proj in enumerate(p.projections):
-        s1, s2 = proj.source.order, proj.target.order
-        e = s1 // s2
-        table = proj.np_table()
+        s1 = proj.source.order
         label_of = np.empty(s1, dtype=np.int64)
-        for t in range(s2):
-            fiber = np.flatnonzero(table == t)  # ascending == lexicographic
-            label_of[fiber] = t * e + 1 + np.arange(e)
-        col = label_of[p.parent.data[:, j]]
-        if np.bincount(col, minlength=s1 + 1)[1:].min() != n // s1:
-            raise ValueError(f"column {j} of the parent is not level-balanced")
-        cols.append(col)
-        sizes.append(e)
+        label_of[np.argsort(proj.np_table(), kind="stable")] = np.arange(1, s1 + 1)
+        cols.append(label_of[p.parent.data[:, j]])
+        sizes.append(s1 // proj.target.order)
         counts.append(s1)
     return RelabeledArray(np.column_stack(cols), tuple(counts), tuple(sizes), p)
 
@@ -111,23 +110,21 @@ def oa_lhd(r: RelabeledArray, seed: int | None = None) -> np.ndarray:
     column.
 
     The ``q = n / s_j`` occurrences of level ``l`` receive the ranks
-    ``(l-1)q + 1 .. lq``: in row order when ``seed`` is None, otherwise in
-    an order drawn from the per-(column, level) stream of the seed.
+    ``(l-1)q + 1 .. lq``: one stable sort of the column lists the rows level
+    by level, in row order within a level, and sorted position ``t`` takes
+    rank ``1 + t``.  A seed permutes these offsets within each level block,
+    in an order drawn from the per-(column, level) stream of the seed.
     """
     n, m = r.labels.shape
     ranks = np.empty((n, m), dtype=np.int64)
     for j in range(m):
-        s = r.level_counts[j]
-        q = n // s
-        col = r.labels[:, j]
-        for level in range(1, s + 1):
-            rows = np.flatnonzero(col == level)
-            if seed is None:
-                order = np.arange(q)
-            else:
+        offsets = np.arange(n)
+        if seed is not None:
+            s = r.level_counts[j]
+            for level, block in enumerate(offsets.reshape(s, n // s), start=1):
                 ss = np.random.SeedSequence(seed, spawn_key=(_PERM_KEY, j, level))
-                order = np.random.default_rng(ss).permutation(q)
-            ranks[rows, j] = (level - 1) * q + 1 + order
+                block[:] = block[np.random.default_rng(ss).permutation(block.size)]
+        ranks[np.argsort(r.labels[:, j], kind="stable"), j] = 1 + offsets
     return ranks
 
 
@@ -197,9 +194,9 @@ def to_design(
     """
     ranks = np.asarray(ranks, dtype=np.int64)
     n, m = ranks.shape
-    for j in range(m):
-        if not np.array_equal(np.sort(ranks[:, j]), np.arange(1, n + 1)):
-            raise ValueError(f"column {j} is not a permutation of 1..{n}")
+    bad = (np.sort(ranks, axis=0) != np.arange(1, n + 1)[:, None]).any(axis=0)
+    if bad.any():
+        raise ValueError(f"column {int(bad.argmax())} is not a permutation of 1..{n}")
     if midpoint:
         if seed is not None:
             raise ValueError("midpoint designs take no seed")
@@ -254,3 +251,11 @@ def strat_counts(
 
 def is_uniform(counts: np.ndarray) -> bool:
     return int(counts.min()) == int(counts.max())
+
+
+def _strata(points: np.ndarray, orders: Sequence[int]) -> LevelArray:
+    """The design binned into its level grid: column ``j`` over Z_{s_j},
+    cell ``min(floor(x * s_j), s_j - 1)`` as :func:`strat_counts` bins it."""
+    s = np.asarray(orders, dtype=np.int64)
+    cells = np.minimum((points * s).astype(np.int64), s - 1)
+    return LevelArray(tuple(ResidueGroup(int(k)) for k in s), _Owned(cells))

@@ -252,6 +252,33 @@ def test_lhd_on_failing_nested_pair_exit_3(tmp_path, capsys):
     assert not (tmp_path / "d_dl.csv").exists()
 
 
+def test_lhd_stratification_failure_exit_3_writes_nothing(tmp_path, monkeypatch, capsys):
+    from nestfill import cli
+    from nestfill.nsfd import Design, NestedDesign
+
+    def swapped(pair, **kw):
+        nd = real(pair, **kw)
+        pts = nd.full.points.copy()
+        cells = np.floor(pts[:, :2] * 8)
+        # a row in another cell of the 8x8 grid of columns 1 and 2, in both
+        r = int(np.flatnonzero((cells != cells[0]).all(axis=1))[0])
+        pts[[0, r], 0] = pts[[r, 0], 0]  # moves two points out of their cells
+        full = Design(pts, nd.full.ranks, nd.full.seed, nd.full.midpoint, nd.full.relabeled)
+        return NestedDesign(full, pts[list(nd.child_rows)], nd.child_rows)
+
+    real = cli.nested_design
+    monkeypatch.setattr(cli, "nested_design", swapped)
+    prefix = str(tmp_path / "t4")
+    assert run("construct", "theorem4", "--out", prefix) == 0
+    capsys.readouterr()
+    assert run("lhd", prefix, "--seed", "3", "--out", str(tmp_path / "d")) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: stratification of the full design: OA: FAIL")
+    assert "columns=(0, 1)" in captured.err and "Traceback" not in captured.err
+    assert not any((tmp_path / f"d{end}").exists() for end in ("_dl.csv", "_dh.csv", "_meta.json"))
+
+
 def _seberry_text():
     from nestfill.catalog import _data_text
 

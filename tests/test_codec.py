@@ -242,6 +242,19 @@ def test_written_design_digests(tmp_path, monkeypatch, capsys, flags, files):
     assert {name: _sha((tmp_path / name).read_bytes()) for name in files} == files
 
 
+@pytest.mark.parametrize("flags", [["--seed", "7"], ["--midpoint"]])
+def test_lhd_stdout_digest(tmp_path, monkeypatch, flags):
+    """``lhd`` stdout (the per-pair stratification lines), digest recorded
+    while each pair was still counted on its own grid."""
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["construct", "theorem4", "a=raohamming:s=8,k=2", "ndm=theorem1:m=2", "--out", "b"]) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["lhd", "b", *flags, "--out", "d"]) == 0
+    assert _sha(out.getvalue().encode()) == "0ba03834eabe475506d7ca02bd9ca716020010a3"
+
+
 @pytest.mark.parametrize(
     "name, digest",
     [

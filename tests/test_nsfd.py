@@ -1,20 +1,26 @@
 """Relabeling, Latin hypercube expansion, and nested design extraction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nestfill.algebra import GaloisGroup, field_make, identity_projection
-from nestfill.arrays import NestedPair
+from nestfill.algebra import GaloisGroup, field_make, identity_projection, truncation
+from nestfill.arrays import NestedPair, check_oa
 from nestfill.catalog import catalog_get
 from nestfill.constructions import (
     full_factorial,
+    mult_table,
     ndm_theorem1,
     noa_theorem4,
+    rao_hamming_oa,
     trivial_oa,
     zero_sum_noa,
 )
+from nestfill.mixed import mixed_dm_lemma7, noa_theorem9
 from nestfill.nsfd import (
+    _strata,
     extract_nested,
     is_uniform,
     nested_design,
@@ -114,6 +120,60 @@ def test_seeded_ranks_stay_within_level_blocks(seed, ex8_pair):
         assert np.array_equal(np.sort(ranks[:, j]), np.arange(1, n + 1))
         blocks = (ranks[:, j] - 1) // q
         assert np.array_equal(blocks, r.labels[:, j] - 1)
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha1(np.ascontiguousarray(a, dtype="<i8").tobytes()).hexdigest()
+
+
+def _equal_level_pair():
+    """512 x 36, eight levels collapsing to four in every column."""
+    return noa_theorem4(rao_hamming_oa(field_make(2, 3), 2), ndm_theorem1(2))
+
+
+def _mixed_level_pair():
+    """144 x 5 with level counts (12, 12, 4, 4, 3) and group sizes
+    (2, 2, 2, 2, 1)."""
+    gf4, gf3 = field_make(2, 2), field_make(3, 1)
+    d = mixed_dm_lemma7(mult_table(gf4), mult_table(gf3), 2)
+    return noa_theorem9(d, truncation(gf4, field_make(2, 1)), identity_projection(GaloisGroup(gf3)))
+
+
+# Recorded while relabel walked the fibers and oa_lhd the levels one at a time.
+PINNED = {
+    "equal": (
+        _equal_level_pair,
+        "d3fd542639c6fc483dc54dd10303dbde90070a5c",
+        {
+            None: "f3d1c15661391a442ecd3c4893baa2267d233b9f",
+            0: "58354402cd38cd2d8b756ca4d85acb17b105eb67",
+            1: "b75ef9c1b7cc541299b108b3de0c12c04867c90c",
+            2: "03afe68e1978b4eecb06d5b6c10aea1b23f10a9d",
+            3: "977f5b7cbd584cb77109ffd9471bbabfe86b1424",
+            4: "ce71c1d346666f8bd60da241a729fad11beef66f",
+        },
+    ),
+    "mixed": (
+        _mixed_level_pair,
+        "f5ceed54dbae7fa6c185817f9e8ede6d2c0f5d82",
+        {
+            None: "72946a10092266ff9de68aeedbe43d77acca41a6",
+            0: "b12ca184bf672068aaca187410baf1854e9f1144",
+            1: "a9928aac1cc7743b4889b531a07346465aca7a27",
+            2: "b1eae49445c6bbe2f5b0a549048994ca4abd1260",
+            3: "1dfb6cde6b0cf28109980c766b4dd22d8c358a5d",
+            4: "8e2615796929ab5db31995a63a7768f821f66147",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_labels_and_ranks_digests(name):
+    build, labels, ranks = PINNED[name]
+    r = relabel(build())
+    assert _sha(r.labels) == labels
+    assert {seed: _sha(oa_lhd(r, seed=seed)) for seed in ranks} == ranks
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +318,38 @@ def test_strat_counts_equal_scatter_add(n, g1, g2, seed):
     np.add.at(want, (a, b), 1)
     assert counts.shape == (g1, g2) and counts.dtype == want.dtype
     assert np.array_equal(counts, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    st.booleans(),
+    st.integers(0, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_binned_check_oa_matches_strat_counts(orders, factorial, swaps, edge, seed):
+    """``check_oa`` on the binned design passes exactly when every column
+    pair is uniform under ``strat_counts``, and its witness is the first
+    pair that is not.  Full factorials (jittered within their cells) pass
+    until an in-column swap or a point moved to the upper edge breaks them;
+    random points mostly fail."""
+    rng = np.random.default_rng(seed)
+    m = len(orders)
+    if factorial:
+        cells = np.indices(orders).reshape(m, -1).T
+        points = (cells + rng.random(cells.shape)) / np.array(orders)
+    else:
+        points = rng.random((int(rng.integers(1, 40)), m))
+    for _ in range(swaps):
+        j = int(rng.integers(m))
+        a, b = rng.integers(len(points), size=2)
+        points[[a, b], j] = points[[b, a], j]
+    if edge:
+        points[rng.random(points.shape) < 0.05] = 1.0
+    pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
+    uniform = [is_uniform(strat_counts(points, (j, k), (orders[j], orders[k]))) for j, k in pairs]
+    verdict = check_oa(_strata(points, tuple(orders)))
+    assert bool(verdict) == all(uniform)
+    if not verdict:
+        assert verdict.witness["columns"] == pairs[uniform.index(False)]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nestfill
-from nestfill import arrays
+from nestfill import arrays, cli, nsfd
 from nestfill.algebra import ResidueGroup, field_make, truncation
 from nestfill.arrays import (
     LevelArray,
@@ -251,3 +251,24 @@ def test_every_gated_output_is_counted_in_a_fresh_process():
     # these two catalog entries are checked through arrays derived from them:
     # ex10_a2 through its collapse, ex13_d through its two uniform blocks
     assert json.loads(proc.stdout) == ["ex10_a2", "ex13_d"]
+
+
+def test_construct_lemma7_counts_each_dm_once(monkeypatch, tmp_path, capsys):
+    calls = _counting(monkeypatch, "check_dm")
+    assert cli.main(["construct", "lemma7", "--out", str(tmp_path / "l7")]) == 0
+    # the two input tables, then the paired block, the two trailing blocks
+    # and the two component-plus-trailing combinations
+    assert len(calls) == 7
+    assert capsys.readouterr().out.splitlines()[-1] == "DM: PASS"
+
+
+def test_lhd_checks_stratification_with_check_oa(monkeypatch, tmp_path, capsys):
+    prefix = str(tmp_path / "b")
+    assert cli.main(["construct", "theorem4", "--out", prefix]) == 0
+    oa = _counting(monkeypatch, "check_oa")
+    strat = []
+    monkeypatch.setattr(nsfd, "strat_counts", lambda *a: strat.append(a))
+    assert cli.main(["lhd", prefix, "--midpoint", "--out", str(tmp_path / "d")]) == 0
+    # parent and collapsed child of the input, then the two binned designs
+    assert len(oa) == 4 and strat == []
+    assert [a.shape for a in oa[2:]] == [(64, 4), (32, 4)]
