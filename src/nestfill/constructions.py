@@ -11,7 +11,9 @@ orthogonal arrays, and the modulus-projection family of Qian, Tang and Wu
 :class:`ConstructionError` (the same class as ``arrays.VerificationError``),
 so no unverified object ever escapes.  An input that has already passed the
 same gate is not counted again.  The plain tables (``mult_table``,
-``trivial_oa``, ``full_factorial``) are gated where they are used.
+``trivial_oa``, ``full_factorial``) are gated where they are used.  The
+Kronecker compositions here and in ``mixed`` all go through ``_crossed``,
+which builds the parent, the child rows and the output gate.
 
 Two conventions are fixed so results are reproducible cell for cell:
 
@@ -49,8 +51,10 @@ from .arrays import (
     NestedPair,
     VerificationError,
     _Owned,
+    _check_indices,
     check_dm,
     collapse,
+    hstack,
     kronecker_add,
     require,
     subcols,
@@ -377,23 +381,44 @@ def qtw_noa(f1: Field, f2: Field, k: int) -> NestedPair:
 # ---------------------------------------------------------------------------
 
 
+def _crossed(
+    blocks: Sequence[tuple[LevelArray, LevelArray, Sequence[Projection]]],
+    outer_rows: Sequence[int],
+    inner_rows: Sequence[int],
+    what: str,
+) -> NestedPair:
+    """The one Kronecker core of the compositions here and in ``mixed``.
+
+    Each block ``(a, d, projections)`` contributes the columns of
+    ``a (+) d``, with one projection per column; the blocks stand side by
+    side.  All ``a`` share one row count and all ``d`` share one, ``b``, so
+    parent row ``i * b + r`` crosses row ``i`` of every ``a`` with row ``r``
+    of every ``d``.  The child keeps the rows with ``i`` in ``outer_rows``
+    and ``r`` in ``inner_rows``, ``i`` slowest; the pair is gated as a
+    nested orthogonal array under ``what``.
+    """
+    n, b = blocks[0][0].n_rows, blocks[0][1].n_rows
+    if any((a.n_rows, d.n_rows) != (n, b) for a, d, _ in blocks):
+        raise ValueError(f"{what}: crossed blocks must share one row count on each side")
+    outer = np.array(_check_indices(outer_rows, n, f"{what}: outer row"), dtype=np.int64)
+    inner = np.array(_check_indices(inner_rows, b, f"{what}: inner row"), dtype=np.int64)
+    parts = [kronecker_add(a, d) for a, d, _ in blocks]
+    parent = parts[0] if len(parts) == 1 else hstack(parts)
+    projections = tuple(p for _, _, ps in blocks for p in ps)
+    child_rows = np.add.outer(outer * b, inner).ravel().tolist()
+    pair = NestedPair(parent, tuple(child_rows), projections)
+    require(pair, "noa", what)
+    return pair
+
+
 def noa_theorem4(a: LevelArray, ndm: NestedPair) -> NestedPair:
     """Nested orthogonal array from an orthogonal array and a nested
     difference matrix: parent ``A (+) D1``, child rows the D-child rows
     inside every block, collapse inherited from the difference matrix."""
     require(a, "oa", "noa_theorem4: input array")
     require(ndm, "ndm", "noa_theorem4: input nested pair")
-    parent = kronecker_add(a, ndm.parent)
-    b = ndm.parent.n_rows
-    child_rows = tuple(
-        i * b + r for i in range(a.n_rows) for r in ndm.child_rows
-    )
-    projections = tuple(
-        ndm.projections[kk] for _ in range(a.n_cols) for kk in range(ndm.parent.n_cols)
-    )
-    pair = NestedPair(parent, child_rows, projections)
-    require(pair, "noa", "noa_theorem4")
-    return pair
+    block = (a, ndm.parent, ndm.projections * a.n_cols)
+    return _crossed([block], range(a.n_rows), ndm.child_rows, "noa_theorem4")
 
 
 def noa_theorem5(noa: NestedPair, d: LevelArray) -> NestedPair:
@@ -402,15 +427,8 @@ def noa_theorem5(noa: NestedPair, d: LevelArray) -> NestedPair:
     existing child rows, collapse inherited from the orthogonal array."""
     require(noa, "noa", "noa_theorem5: input nested pair")
     require(d, "dm", "noa_theorem5: input difference matrix")
-    parent = kronecker_add(noa.parent, d)
-    b = d.n_rows
-    child_rows = tuple(i * b + r for i in noa.child_rows for r in range(b))
-    projections = tuple(
-        noa.projections[j] for j in range(noa.parent.n_cols) for _ in range(d.n_cols)
-    )
-    pair = NestedPair(parent, child_rows, projections)
-    require(pair, "noa", "noa_theorem5")
-    return pair
+    block = (noa.parent, d, tuple(p for p in noa.projections for _ in range(d.n_cols)))
+    return _crossed([block], noa.child_rows, range(d.n_rows), "noa_theorem5")
 
 
 def zero_sum_noa(s1: int, s2: int) -> NestedPair:
@@ -453,7 +471,6 @@ def validation_pair(
         raise ValueError(f"array must be over GF(2^{m + 1})")
     require(a, "oa", "validation_pair: input array")
     f = group.field
-    g = field_make(2, m)
     d0 = mult_table(f)
     s1 = f.order
     full = kronecker_add(a, d0)
@@ -461,12 +478,10 @@ def validation_pair(
     shared = tuple(j * s1 + t for j in range(a.n_cols) for t in range(4))
     r = _labels(f, m - 2)
     d2_rows = np.union1d(r, _shift(f, _offsets_sum(f, [m, m - 1]), r))
-    child_rows = tuple(
-        i * s1 + rr for i in range(a.n_rows) for rr in d2_rows
-    )
-    proj = truncation(f, g)
-    pair = NestedPair(subcols(full, shared), child_rows, (proj,) * len(shared))
-    require(pair, "noa", f"validation_pair(m={m})")
+    proj = truncation(f, field_make(2, m))
+    # A (+) (the r_1 columns of D0) is subcols(full, shared) cell for cell
+    block = (a, subcols(d0, range(4)), (proj,) * len(shared))
+    pair = _crossed([block], range(a.n_rows), d2_rows, f"validation_pair(m={m})")
     return full, pair, shared
 
 
@@ -509,10 +524,8 @@ def search_nested_rows(
                 yield tuple(sorted(rng.choice(b, size=child_size, replace=False).tolist()))
 
         candidates = _random_subsets()
-    for count, subset in enumerate(candidates):
-        if count >= budget:
-            break
-        child = collapse(subrows(d, subset), (projection,) * d.n_cols)
-        if check_dm(child):
-            return tuple(subset)
+    collapsed = collapse(d, projection)  # collapsing commutes with row selection
+    for subset in itertools.islice(candidates, budget):
+        if check_dm(subrows(collapsed, subset)):
+            return subset
     return None

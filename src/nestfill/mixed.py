@@ -11,13 +11,12 @@ blocks over different alphabets:
   columns out of two ordinary difference matrices, and
   :func:`noa_theorem9` turns it into a mixed nested orthogonal array.
 
-Blocks are synchronized by a shared Kronecker row index, so the parent row
-``i * b + r`` combines row ``i`` of every orthogonal-array block with row
-``r`` of every difference-matrix block.  The optional run-index column is
-the ``b``-level factor listing ``r``.
-
-As everywhere else, each constructor gates its inputs and its output
-through ``arrays.require`` before returning.
+The crossing is ``constructions._crossed``, the one Kronecker core: parent
+row ``i * b + r`` combines row ``i`` of every orthogonal-array block with
+row ``r`` of every difference-matrix block.  The optional run-index column
+is one more crossed block, a zero column crossed with all of Z_b, so it
+lists ``r``.  Each constructor gates its inputs through ``arrays.require``;
+``_crossed`` gates the output.
 """
 
 from __future__ import annotations
@@ -42,12 +41,11 @@ from .arrays import (
     NestedPair,
     _Owned,
     hstack,
-    kronecker_add,
     require,
     subcols,
     subrows,
 )
-from .constructions import trivial_oa
+from .constructions import _crossed, trivial_oa
 
 __all__ = [
     "ww_from_noas",
@@ -78,15 +76,8 @@ def _check_distinct_primes(orders: Sequence[int]) -> None:
 
 
 def _validate_blocks(parent: LevelArray, blocks) -> None:
-    covered = [c for cols, _ in blocks for c in cols]
-    if sorted(covered) != list(range(parent.n_cols)) or covered != sorted(covered):
-        raise ValueError(
-            "blocks must partition the parent columns in order without overlap"
-        )
-
-
-def _run_index_column(b: int, n: int) -> LevelArray:
-    return LevelArray((ResidueGroup(b),), np.tile(np.arange(b), n)[:, None])
+    if [c for cols, _ in blocks for c in cols] != list(range(parent.n_cols)):
+        raise ValueError("blocks must partition the parent columns in order without overlap")
 
 
 def ww_from_noas(
@@ -107,44 +98,28 @@ def ww_from_noas(
     _validate_blocks(noa.parent, blocks)
     _check_distinct_primes([noa.parent.groups[cols[0]].order for cols, _ in blocks])
     b = blocks[0][1].n_rows
-    parts, projections = [], []
+    crossed = []
     for cols, dm in blocks:
         require(dm, "dm", "ww_from_noas: block difference matrix")
-        if dm.n_rows != b:
-            raise ValueError("all block difference matrices must share one row count")
-        sub = subcols(noa.parent, cols)
-        if dm.uniform_group() != sub.uniform_group():
-            raise ValueError("difference matrix alphabet differs from its block")
-        parts.append(kronecker_add(sub, dm))
-        projections.extend(
-            noa.projections[c] for c in cols for _ in range(dm.n_cols)
-        )
-    n1 = noa.parent.n_rows
-    if include_b:
-        parts.append(_run_index_column(b, n1))
-        projections.append(identity_projection(ResidueGroup(b)))
-    parent = hstack(parts)
-    child_rows = tuple(ci * b + r for ci in noa.child_rows for r in range(b))
-    pair = NestedPair(parent, child_rows, tuple(projections))
-    require(pair, "noa", "ww_from_noas")
-    return pair
+        projections = tuple(noa.projections[c] for c in cols for _ in range(dm.n_cols))
+        crossed.append((subcols(noa.parent, cols), dm, projections))
+    if include_b:  # a zero column crossed with Z_b lists r in row i*b + r
+        zb = ResidueGroup(b)
+        zero = LevelArray((zb,), np.zeros((noa.parent.n_rows, 1)))
+        crossed.append((zero, trivial_oa(zb), (identity_projection(zb),)))
+    return _crossed(crossed, noa.child_rows, range(b), "ww_from_noas")
 
 
-def _child_first(ndm: NestedPair) -> NestedPair:
-    """Permute parent rows so the child occupies rows 0..b2-1.
+def _child_first(ndm: NestedPair) -> LevelArray:
+    """The parent rows of ``ndm`` reordered so its child occupies rows
+    0..b2-1, the rest following in their order.
 
     A difference matrix is row-permutation invariant, so this changes
     nothing checkable; it aligns the child row positions across blocks and
     makes the child run-index values literally 0..b2-1.
     """
-    b = ndm.parent.n_rows
-    rest = [r for r in range(b) if r not in set(ndm.child_rows)]
-    order = list(ndm.child_rows) + rest
-    return NestedPair(
-        subrows(ndm.parent, order),
-        tuple(range(len(ndm.child_rows))),
-        ndm.projections,
-    )
+    rest = np.setdiff1d(np.arange(ndm.parent.n_rows), ndm.child_rows)
+    return subrows(ndm.parent, list(ndm.child_rows) + rest.tolist())
 
 
 def ww_from_ndms(
@@ -167,32 +142,21 @@ def ww_from_ndms(
     _check_distinct_primes([a.groups[cols[0]].order for cols, _ in blocks])
     b1 = blocks[0][1].parent.n_rows
     b2 = blocks[0][1].child_size
-    parts, projections = [], []
+    crossed = []
     for cols, ndm in blocks:
         require(ndm, "ndm", "ww_from_ndms: input nested pair")
         if (ndm.parent.n_rows, ndm.child_size) != (b1, b2):
             raise ValueError("all nested difference matrices must share (b1, b2)")
-        ndm = _child_first(ndm)
-        sub = subcols(a, cols)
-        if ndm.parent.uniform_group() != sub.uniform_group():
-            raise ValueError("nested difference matrix alphabet differs from its block")
-        parts.append(kronecker_add(sub, ndm.parent))
-        projections.extend(
-            ndm.projections[k] for _ in cols for k in range(ndm.parent.n_cols)
-        )
-    n = a.n_rows
+        crossed.append((subcols(a, cols), _child_first(ndm), ndm.projections * len(cols)))
     if include_b:
         if b1 % b2:
             raise ValueError(
                 f"run-index column needs the child row count {b2} to divide {b1}"
             )
-        parts.append(_run_index_column(b1, n))
-        projections.append(residue(b1, b2))
-    parent = hstack(parts)
-    child_rows = tuple(i * b1 + r for i in range(n) for r in range(b2))
-    pair = NestedPair(parent, child_rows, tuple(projections))
-    require(pair, "noa", "ww_from_ndms")
-    return pair
+        zb = ResidueGroup(b1)
+        zero = LevelArray((zb,), np.zeros((a.n_rows, 1)))
+        crossed.append((zero, trivial_oa(zb), (residue(b1, b2),)))
+    return _crossed(crossed, range(a.n_rows), range(b2), "ww_from_ndms")
 
 
 def mixed_dm_lemma7(d1: LevelArray, d2: LevelArray, c0: int) -> LevelArray:
@@ -273,25 +237,17 @@ def noa_theorem9(
     paired = ProductGroup((g1, g2))
     s11, s21 = g1.order, g2.order
     s12, s22 = delta1.target.order, delta2.target.order
-    n1 = d.n_rows
     if child_rows is None:
-        child_rows = range(n1)
-    d_child = tuple(int(r) for r in child_rows)
+        child_rows = range(d.n_rows)
 
     c_pairs = trivial_oa(paired)
     c_first = LevelArray((g1,), (np.arange(s11 * s21) // s21)[:, None])
     c_second = LevelArray((g2,), (np.arange(s11 * s21) % s21)[:, None])
     spans = [
-        (c_pairs, range(k0)),
-        (c_first, range(k0, k0 + k1)),
-        (c_second, range(k0 + k1, k0 + k1 + k2)),
+        (c_pairs, range(k0), delta0),
+        (c_first, range(k0, k0 + k1), delta1),
+        (c_second, range(k0 + k1, k0 + k1 + k2), delta2),
     ]
-    parent = hstack(
-        [kronecker_add(c, subcols(d, cols)) for c, cols in spans if len(cols)]
-    )
+    blocks = [(c, subcols(d, cols), (delta,) * len(cols)) for c, cols, delta in spans if len(cols)]
     c2_rows = [i1 * s21 + i2 for i1 in range(s12) for i2 in range(s22)]
-    rows = tuple(ci * n1 + r for ci in c2_rows for r in d_child)
-    projections = (delta0,) * k0 + (delta1,) * k1 + (delta2,) * k2
-    pair = NestedPair(parent, rows, projections)
-    require(pair, "noa", "noa_theorem9")
-    return pair
+    return _crossed(blocks, c2_rows, child_rows, "noa_theorem9")

@@ -1,12 +1,19 @@
 """Construction families: published fixtures, checker gates, properties."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import randomize_array
+
+from nestfill import constructions
 from nestfill.algebra import (
     GaloisGroup,
     ResidueGroup,
     field_make,
+    identity_projection,
     modulus,
     poly_mul,
     poly_trim,
@@ -24,6 +31,7 @@ from nestfill.arrays import (
 from nestfill.catalog import catalog_get
 from nestfill.constructions import (
     ConstructionError,
+    _crossed,
     full_factorial,
     label_sequence,
     mult_table,
@@ -368,9 +376,87 @@ def test_validation_pair_child_is_submatrix(gf8):
     assert np.array_equal(pair.parent.data, subcols(full, shared).data)
 
 
+def test_crossed_rejects_rows_outside_either_factor():
+    z2 = ResidueGroup(2)
+    block = (trivial_oa(z2), trivial_oa(z2), (identity_projection(z2),))
+    for outer, inner in [([2], [0]), ([-1], [0])]:
+        with pytest.raises(ValueError, match="outer row index out of range"):
+            _crossed([block], outer, inner, "x")
+    for outer, inner in [([0], [2]), ([0], [-1])]:
+        with pytest.raises(ValueError, match="inner row index out of range"):
+            _crossed([block], outer, inner, "x")
+    assert _crossed([block], [1, 0], [0, 1], "x").child_rows == (2, 3, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
+
+
+def reference_search(d, child_size, projection, budget, seed=None):
+    """The per-candidate search: every candidate subset is collapsed anew.
+    Same candidate order and arguments as ``search_nested_rows``; returns the
+    subset found and its position among the candidates, or (None, None)."""
+    if child_size < 1 or child_size > d.n_rows or child_size % projection.target.order:
+        return None, None
+    b = d.n_rows
+    if seed is None:
+        candidates = itertools.combinations(range(b), child_size)
+    else:
+        rng = np.random.default_rng(seed)
+
+        def _random_subsets():
+            while True:
+                yield tuple(sorted(rng.choice(b, size=child_size, replace=False).tolist()))
+
+        candidates = _random_subsets()
+    for count, subset in enumerate(candidates):
+        if count >= budget:
+            break
+        child = collapse(subrows(d, subset), (projection,) * d.n_cols)
+        if check_dm(child):
+            return tuple(subset), count
+    return None, None
+
+
+def _search_cases():
+    gf2, gf3, gf4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
+    gf8, gf9 = field_make(2, 3), field_make(3, 2)
+    return [
+        (gf4, [truncation(gf4, gf2), modulus(gf4, gf2), identity_projection(GaloisGroup(gf4))]),
+        (gf8, [truncation(gf8, gf4), modulus(gf8, gf2), identity_projection(GaloisGroup(gf8))]),
+        (gf9, [truncation(gf9, gf3), modulus(gf9, gf3), identity_projection(GaloisGroup(gf9))]),
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_search_agrees_with_the_per_candidate_reference(data):
+    f, projections = data.draw(st.sampled_from(_search_cases()))
+    projection = data.draw(st.sampled_from(projections))
+    # row and column permutations, column shifts and column subsets keep a
+    # difference matrix; few columns let row subsets pass
+    d = randomize_array(mult_table(f), np.random.default_rng(data.draw(st.integers(0, 2**16))))
+    d = subcols(d, range(data.draw(st.integers(2, f.order))))
+    t = projection.target.order  # sizes that split evenly are the ones that can pass
+    child_size = data.draw(st.one_of(st.integers(0, f.order + 1), st.integers(1, f.order // t).map(lambda k: k * t)))
+    budget = data.draw(st.integers(1, 150))
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 2**16)))
+    want, count = reference_search(d, child_size, projection, budget, seed)
+    assert search_nested_rows(d, child_size, projection, budget, seed) == want
+    if want is not None:  # the budget is spent exactly up to the answer
+        assert search_nested_rows(d, child_size, projection, count + 1, seed) == want
+        if count:
+            assert search_nested_rows(d, child_size, projection, count, seed) is None
+
+
+def test_search_collapses_once(monkeypatch, gf8, gf4):
+    calls = []
+    real = constructions.collapse
+    monkeypatch.setattr(constructions, "collapse", lambda *a: calls.append(a) or real(*a))
+    d1 = ndm_theorem1(2).parent
+    assert search_nested_rows(d1, 4, truncation(gf8, gf4), budget=70) == (0, 1, 6, 7)
+    assert len(calls) == 1
 
 
 def test_search_finds_published_subset(gf8, gf4):

@@ -102,6 +102,16 @@ def test_row_count_mismatch_rejected(gf4):
         ww_from_noas(noa, [blocks[0], ((1,), mult_table(gf4))])
 
 
+def test_block_alphabet_mismatch_rejected():
+    noa, (six, four) = _ex12_inputs()
+    with pytest.raises(ValueError, match="alphabet"):
+        ww_from_noas(noa, [((0,), four[1]), ((1,), six[1])])
+    a = full_factorial((GaloisGroup(field_make(2, 1)), ResidueGroup(6)))
+    ndm = catalog_get("ex11_ndm").payload
+    with pytest.raises(ValueError, match="alphabet"):
+        ww_from_ndms(a, [((0,), ndm), ((1,), ndm)])
+
+
 # ---------------------------------------------------------------------------
 # juxtaposition of nested difference matrix blocks
 # ---------------------------------------------------------------------------
@@ -275,6 +285,19 @@ def test_paired_noa_rejects_wrong_projection_source(gf8):
     with pytest.raises(ValueError, match="component alphabets"):
         noa_theorem9(
             d, truncation(gf8, gf4), identity_projection(GaloisGroup(gf3))
+        )
+
+
+def test_paired_noa_rejects_child_rows_outside_d(gf4):
+    gf3 = field_make(3, 1)
+    d = mixed_dm_lemma7(mult_table(gf4), mult_table(gf3), 2)
+    assert d.n_rows == 12
+    with pytest.raises(ValueError, match="inner row index out of range"):
+        noa_theorem9(
+            d,
+            truncation(gf4, field_make(2, 1)),
+            identity_projection(GaloisGroup(gf3)),
+            child_rows=range(12, 24),
         )
 
 

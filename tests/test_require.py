@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ex12_inputs, ex13_dm, ex13_noa, thm8_inputs
+
 import nestfill
 from nestfill import arrays, cli, nsfd
-from nestfill.algebra import ResidueGroup, field_make, truncation
+from nestfill.algebra import GaloisGroup, ResidueGroup, field_make, truncation
 from nestfill.arrays import (
     LevelArray,
     VerificationError,
@@ -27,10 +29,15 @@ from nestfill.constructions import (
     ConstructionError,
     mult_table,
     ndm_theorem1,
+    noa_theorem4,
+    noa_theorem5,
+    qtw_noa,
     rao_hamming_oa,
     search_nested_rows,
+    trivial_oa,
+    validation_pair,
 )
-from nestfill.mixed import mixed_dm_lemma7, ww_from_noas
+from nestfill.mixed import mixed_dm_lemma7, ww_from_ndms, ww_from_noas
 
 SRC = os.path.dirname(os.path.dirname(nestfill.__file__))
 Z2 = ResidueGroup(2)
@@ -272,3 +279,41 @@ def test_lhd_checks_stratification_with_check_oa(monkeypatch, tmp_path, capsys):
     # parent and collapsed child of the input, then the two binned designs
     assert len(oa) == 4 and strat == []
     assert [a.shape for a in oa[2:]] == [(64, 4), (32, 4)]
+
+
+_GF8 = GaloisGroup(field_make(2, 3))
+
+#: name -> (inputs, constructor, (check_oa, check_dm, check_nested) calls
+#: made by the constructor alone on those inputs)
+KRONECKER_GATES = {
+    "noa_theorem4": (
+        lambda: (trivial_oa(_GF8), ndm_theorem1(2)),
+        lambda x: noa_theorem4(*x),
+        (3, 0, 1),  # the plain input array, then the output's parent and child
+    ),
+    "noa_theorem5": (
+        lambda: (qtw_noa(_GF8.field, field_make(2, 2), 2), mult_table(_GF8.field)),
+        lambda x: noa_theorem5(*x),
+        (2, 1, 1),
+    ),
+    "validation_pair": (
+        lambda: trivial_oa(_GF8),
+        lambda a: validation_pair(2, a),
+        (4, 0, 1),  # the input, the full array, the pair's parent and child
+    ),
+    "ww_from_noas": (ex12_inputs, lambda x: ww_from_noas(*x), (2, 0, 1)),
+    "ww_from_noas(include_b)": (ex12_inputs, lambda x: ww_from_noas(*x, include_b=True), (2, 0, 1)),
+    # the hand-built Z2 block and the plain full factorial are counted too
+    "ww_from_ndms": (thm8_inputs, lambda x: ww_from_ndms(*x), (3, 2, 2)),
+    "ww_from_ndms(include_b)": (thm8_inputs, lambda x: ww_from_ndms(*x, include_b=True), (3, 2, 2)),
+    "noa_theorem9": (ex13_dm, ex13_noa, (2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(KRONECKER_GATES))
+def test_kronecker_constructors_make_the_recorded_verifier_calls(monkeypatch, name):
+    inputs, build, want = KRONECKER_GATES[name]
+    x = inputs()
+    counted = [_counting(monkeypatch, n) for n in ("check_oa", "check_dm", "check_nested")]
+    build(x)
+    assert tuple(len(c) for c in counted) == want

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import ex12_inputs, ex13_dm, ex13_noa, thm8_inputs
+
 from nestfill.algebra import (
     Field,
     GaloisGroup,
@@ -23,6 +25,7 @@ from nestfill.algebra import (
     _check_mul_table,
     digits,
     field_make,
+    group_to_dict,
     modulus,
     mul_table,
     neg_table,
@@ -42,9 +45,14 @@ from nestfill.constructions import (
     ndm_theorem1,
     ndm_theorem2,
     ndm_theorem3,
+    noa_theorem4,
+    noa_theorem5,
     qtw_noa,
     rao_hamming_oa,
+    trivial_oa,
+    validation_pair,
 )
+from nestfill.mixed import ww_from_ndms, ww_from_noas
 
 
 def reference_product(f: Field, a: int, b: int) -> int:
@@ -284,3 +292,121 @@ def test_golden_digests(name):
     arr = obj.parent if isinstance(obj, NestedPair) else obj
     rows = obj.child_rows if isinstance(obj, NestedPair) else None
     assert (sha(arr.data), sha(rows), sha(arr.row_labels)) == (data, child_rows, row_labels)
+
+
+# ---------------------------------------------------------------------------
+# golden digests of the Kronecker compositions
+# ---------------------------------------------------------------------------
+
+
+def projection_sha(projections):
+    """SHA-1 of each projection's kind, source, target and table, in order."""
+    h = hashlib.sha1()
+    for p in projections:
+        h.update(repr((p.kind, group_to_dict(p.source), group_to_dict(p.target), p.table)).encode())
+    return h.hexdigest()
+
+
+def _gf(p, u):
+    return GaloisGroup(field_make(p, u))
+
+
+#: name -> (construction, SHA-1 of data, of child_rows, of row_labels, of
+#: projections); the validation full arrays are plain arrays
+KRONECKER_GOLDEN = {
+    "noa_theorem4(trivial_oa(GF(8)), ndm_theorem1(2))": (
+        lambda: noa_theorem4(trivial_oa(_gf(2, 3)), ndm_theorem1(2)),
+        "3aedfc1b3a0a1250ff3afeab694a402725a6495a",
+        "61be708c0f4236730b94398d8e0b843a61bf8eaa",
+        None,
+        "b75d9b21f7ac87f27113b9ae30dfca7bcba4870b",
+    ),
+    "noa_theorem4(RH(GF(16), 2), ndm_theorem1(3))": (
+        lambda: noa_theorem4(rao_hamming_oa(field_make(2, 4), 2), ndm_theorem1(3)),
+        "18b264affa4e65aabab7b7185b1d16f2029865ed",
+        "052dc88c214378d41b936aa7bee51a2a3a20bc46",
+        None,
+        "fcc450b2099eb3bdece58dcc28c79f911c483b1e",
+    ),
+    "noa_theorem5(qtw_noa(GF(8), GF(4), 2), mult_table(GF(8)))": (
+        lambda: noa_theorem5(qtw_noa(field_make(2, 3), field_make(2, 2), 2), mult_table(field_make(2, 3))),
+        "43e210e219e1119219d34f1eaff51ae6affde7a5",
+        "a81c54c76c2efb5afb088ff6daacd294968c2b80",
+        None,
+        "05e9f83c4f2665ee37604f3af44bfd2f2c91723e",
+    ),
+    "validation_pair(2, trivial_oa(GF(8))) full": (
+        lambda: validation_pair(2, trivial_oa(_gf(2, 3)))[0],
+        "877f27b39468af8ce50ef57632232cfd257f4f64",
+        None,
+        None,
+        None,
+    ),
+    "validation_pair(2, trivial_oa(GF(8))) pair": (
+        lambda: validation_pair(2, trivial_oa(_gf(2, 3)))[1],
+        "5d9c00994ac464229b713bea11e9f5b200c272bc",
+        "61be708c0f4236730b94398d8e0b843a61bf8eaa",
+        None,
+        "b75d9b21f7ac87f27113b9ae30dfca7bcba4870b",
+    ),
+    "validation_pair(2, RH(GF(8), 2)) full": (
+        lambda: validation_pair(2, rao_hamming_oa(field_make(2, 3), 2))[0],
+        "9bf5930326cac3277e3e9908fca495b107a4d50c",
+        None,
+        None,
+        None,
+    ),
+    "validation_pair(2, RH(GF(8), 2)) pair": (
+        lambda: validation_pair(2, rao_hamming_oa(field_make(2, 3), 2))[1],
+        "19fcf2df8aa7cb84b73d48dfb65e15fb80d97337",
+        "09ee2b15591ea4e901ef3ed14ffaeb5c586cb9a6",
+        None,
+        "4ea85ac1f35add2a38104cbe757453f967f10a39",
+    ),
+    "ww_from_noas(ex12)": (
+        lambda: ww_from_noas(*ex12_inputs()),
+        "a88c94fdcfce5943288b27efacdef219ae8de84c",
+        "b196fd923aeb2dccdddb409e858f87e0b51d3a1a",
+        None,
+        "dce1ddda04d76ae57a98ed1a7036d6afad2f2a9a",
+    ),
+    "ww_from_noas(ex12, include_b)": (
+        lambda: ww_from_noas(*ex12_inputs(), include_b=True),
+        "2656fe0099bfc4cead3c1d36736324384b25a17b",
+        "b196fd923aeb2dccdddb409e858f87e0b51d3a1a",
+        None,
+        "4bc49c8348650c14848a09648698081213992414",
+    ),
+    "ww_from_ndms(ex11 + Z2)": (
+        lambda: ww_from_ndms(*thm8_inputs()),
+        "c689742f1518ed892927847305c8e0eac2ed38b3",
+        "7b8d465c15e0844cb4062387dc9c5166bf1e533e",
+        None,
+        "d421ede66480399155f77bb972e540c717d69849",
+    ),
+    "ww_from_ndms(ex11 + Z2, include_b)": (
+        lambda: ww_from_ndms(*thm8_inputs(), include_b=True),
+        "0b7956ff4b4728b32e9079b8b0a65f8cf7673558",
+        "7b8d465c15e0844cb4062387dc9c5166bf1e533e",
+        None,
+        "4fd425b0df7f9697a9dfcd7fbc8931fa0c9ed6f8",
+    ),
+    "noa_theorem9(lemma7(GF(4), GF(3), 2))": (
+        lambda: ex13_noa(ex13_dm()),
+        "1fc9db6cd236925dcc4f70f22d352dc4cb3ecf7d",
+        "cc1fc66b009e192e50ec04b6fdf4ab9103d33b22",
+        None,
+        "300db1aca2b7403f146279b86042792c6c685275",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(KRONECKER_GOLDEN))
+def test_kronecker_golden_digests(name):
+    build, data, child_rows, row_labels, projections = KRONECKER_GOLDEN[name]
+    obj = build()
+    if isinstance(obj, NestedPair):
+        got = (sha(obj.parent.data), sha(obj.child_rows), sha(obj.parent.row_labels), projection_sha(obj.projections))
+    else:
+        got = (sha(obj.data), None, sha(obj.row_labels), None)
+    assert got == (data, child_rows, row_labels, projections)
