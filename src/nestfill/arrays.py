@@ -18,11 +18,12 @@ are pure: every call counts.
 :func:`require` is the one gate on them.  It raises
 :class:`VerificationError` on a failing verdict and records a passing kind
 on the object it checked, so a later ``require`` of that kind on the same
-object returns without counting again.  The record is sound because arrays
-are immutable: a ``LevelArray`` copies any buffer handed to it from outside
-and marks it read-only, so no view taken before construction can reach it.
-The constructions elsewhere in the package are gated through ``require``,
-never the other way round.
+object returns without counting again.  The record is sound because values
+are immutable: arrays, nested pairs and the designs of ``nsfd`` share one
+base, ``_Value``, that copies any outside buffer into a read-only array, so
+no view taken before construction can reach it, and compares by content.
+The constructions elsewhere are gated through ``require``, never the other
+way round.
 
 Entries are stored as integer element indices (see ``algebra``); the element
 objects and their text forms are recovered through the column alphabets.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -117,9 +118,9 @@ class FormatError(ValueError):
 
 
 class _Owned:
-    """A buffer that nestfill has just allocated, or the data of an existing
-    ``LevelArray``: ``LevelArray`` takes it over as it is.  Any other data
-    is copied."""
+    """A buffer that nestfill has just allocated, or an array field of an
+    existing value: a :class:`_Value` takes it over as it is.  Any other
+    data is copied."""
 
     __slots__ = ("buf",)
 
@@ -127,30 +128,56 @@ class _Owned:
         self.buf = buf
 
 
-class _ByContent:
-    """Equality and hashing by content for frozen dataclasses that hold
-    numpy arrays (whose own ``==`` is elementwise).  Subclasses are declared
-    with ``eq=False`` and list what identifies them in ``_content``."""
+def _frozen(value, dtype, name: str) -> np.ndarray:
+    """A read-only matrix of ``dtype`` holding ``value``: an :class:`_Owned`
+    buffer as it is (cast if its dtype differs), anything else as a copy.
+    Values that an integer cast would change are refused, naming ``name``."""
+    owned = isinstance(value, _Owned)
+    src = np.asarray(value.buf if owned else value)
+    if src.dtype.kind not in "biu" and np.dtype(dtype).kind == "i":
+        with np.errstate(invalid="ignore"):  # NaN and inf are refused below
+            out = src.astype(dtype)
+        if not np.array_equal(out, src):
+            raise ValueError(f"{name} holds non-integral values")
+    else:
+        out = src.astype(dtype, copy=not owned)
+    out = np.atleast_2d(out)
+    out.setflags(write=False)
+    return out
 
-    def _content(self) -> tuple:
-        raise NotImplementedError
+
+def _key(v):
+    """Hashable content of a field: dtype, shape and bytes of an array."""
+    return (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+
+
+class _Value:
+    """Base of the frozen value dataclasses (declared ``eq=False``): each
+    field named in ``_arrays`` comes in through :func:`_frozen` with the
+    dtype given there; equality and hashing are by the content of all fields.
+    A field that is the same object on both sides is equal without being
+    read, so a value equals itself, or one sharing its arrays, at no cost."""
+
+    _arrays: dict = {}  # field name -> dtype
+
+    def __post_init__(self) -> None:
+        for name, dtype in self._arrays.items():
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype, name))
+
+    def _values(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._content() == other._content()
+        return all(a is b or _key(a) == _key(b) for a, b in zip(self._values(), other._values()))
 
     def __hash__(self) -> int:
-        return hash(self._content())
-
-
-def _array_key(a: np.ndarray) -> tuple:
-    """Hashable content of an array: dtype, shape and bytes."""
-    return (a.dtype.str, a.shape, a.tobytes())
+        return hash(tuple(map(_key, self._values())))
 
 
 @dataclass(frozen=True, eq=False)
-class LevelArray(_ByContent):
+class LevelArray(_Value):
     """An n x m matrix of group elements with a per-column alphabet.
 
     ``data`` holds element indices.  ``row_labels`` (indices into
@@ -164,13 +191,11 @@ class LevelArray(_ByContent):
     row_labels: tuple[int, ...] | None = None
     label_group: Group | None = None
 
+    _arrays = {"data": np.int64}
+
     def __post_init__(self) -> None:
-        if isinstance(self.data, _Owned):
-            data = np.atleast_2d(np.asarray(self.data.buf, dtype=np.int64))
-        else:
-            data = np.atleast_2d(np.array(self.data, dtype=np.int64))
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        super().__post_init__()
+        data = self.data
         object.__setattr__(self, "_passed", set())
         object.__setattr__(self, "groups", tuple(self.groups))
         if data.ndim != 2 or data.shape[1] != len(self.groups):
@@ -202,9 +227,6 @@ class LevelArray(_ByContent):
                 raise ValueError(
                     f"row label {bad} is outside its alphabet {self.label_group.describe()}"
                 )
-
-    def _content(self) -> tuple:
-        return (self.groups, _array_key(self.data), self.row_labels, self.label_group)
 
     @property
     def n_rows(self) -> int:
@@ -262,7 +284,7 @@ class LevelArray(_ByContent):
 
 
 @dataclass(frozen=True, eq=False)
-class NestedPair(_ByContent):
+class NestedPair(_Value):
     """A parent array plus the data singling out its nested child.
 
     ``child_rows`` are ordered, distinct indices into the parent; the child
@@ -275,14 +297,9 @@ class NestedPair(_ByContent):
     projections: tuple[Projection, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(int(r) for r in self.child_rows)
+        rows = _check_indices(self.child_rows, self.parent.n_rows, "child row")
         object.__setattr__(self, "child_rows", rows)
         object.__setattr__(self, "projections", tuple(self.projections))
-        n = self.parent.n_rows
-        if any(not 0 <= r < n for r in rows):
-            raise ValueError("child row index out of range")
-        if len(set(rows)) != len(rows):
-            raise ValueError("child rows must be distinct")
         if len(self.projections) != self.parent.n_cols:
             raise ValueError("need exactly one projection per parent column")
         for j, (proj, g) in enumerate(zip(self.projections, self.parent.groups)):
@@ -292,9 +309,6 @@ class NestedPair(_ByContent):
                     f"column alphabet is {g.describe()}"
                 )
         object.__setattr__(self, "_passed", set())
-
-    def _content(self) -> tuple:
-        return (self.parent, self.child_rows, self.projections)
 
     @property
     def child_size(self) -> int:
@@ -490,7 +504,12 @@ def require(obj: LevelArray | NestedPair, kind: str, what: str) -> Verdict:
     A pass is recorded on ``obj`` itself, so a later ``require`` of the same
     kind on the same object returns without counting.  An equal object built
     anew is counted again.  The checkers are looked up by name at each call.
+    An object of the wrong type for ``kind`` is a usage error
+    (``ValueError``), not a failed verification.
     """
+    want = NestedPair if kind in ("noa", "ndm") else LevelArray
+    if not isinstance(obj, want):
+        raise ValueError(f"{what}: checking as {kind} needs a {want.__name__}, got {type(obj).__name__}")
     if kind in obj._passed:
         return Verdict(True, kind)
     if kind == "oa":
@@ -560,12 +579,17 @@ def normalize_dm(d: LevelArray) -> LevelArray:
 
 
 def _check_indices(idx: Sequence[int], bound: int, what: str) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in idx)
-    if any(not 0 <= i < bound for i in idx):
+    """``idx`` as a tuple of distinct ints in ``0..bound-1``; values that
+    ``int`` would change are refused."""
+    idx = tuple(idx)
+    if idx and (min(idx) < 0 or max(idx) >= bound):
         raise ValueError(f"{what} index out of range")
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate {what} index")
-    return idx
+    out = tuple(map(int, idx))
+    if out != idx:
+        raise ValueError(f"non-integral {what} index")
+    if len(set(out)) != len(out):
+        raise ValueError(f"{what} indices must be distinct, got a duplicate")
+    return out
 
 
 def subrows(a: LevelArray, rows: Sequence[int]) -> LevelArray:

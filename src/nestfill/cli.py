@@ -118,9 +118,16 @@ def _load_plan(path: str):
         raise IoFailed(f"cannot read plan file: {e}") from None
     except json.JSONDecodeError as e:
         raise IoFailed(f"plan file is not valid JSON: {e}") from None
-    parent = _resolve_ref(plan["parent"])
-    blocks = [(tuple(b["cols"]), _resolve_ref(b["ref"])) for b in plan["blocks"]]
-    return parent, blocks, bool(plan.get("b", False))
+    try:
+        refs = [plan["parent"]] + [b["ref"] for b in plan["blocks"]]
+        cols = [tuple(b["cols"]) for b in plan["blocks"]]
+        use_b = bool(plan.get("b", False))
+        if not all(isinstance(r, str) for r in refs):
+            raise TypeError("references must be strings")
+    except (LookupError, TypeError) as e:
+        raise IoFailed(f"malformed plan file {path}: {type(e).__name__}: {e}") from None
+    parent, *blocks = map(_resolve_ref, refs)
+    return parent, list(zip(cols, blocks)), use_b
 
 
 def _construct(name: str, params: dict):

@@ -169,7 +169,7 @@ def _ndm_from_labels(
     return pair
 
 
-def ndm_theorem1(m: int, field: Field | None = None) -> NestedPair:
+def ndm_theorem1(m: int) -> NestedPair:
     """A D(2^(m+1), 2^2, 2^(m+1)) containing a D(2^m, 2^2, 2^m), m >= 2.
 
     Columns r_1 of the GF(2^(m+1)) multiplication table; parent rows in the
@@ -178,10 +178,7 @@ def ndm_theorem1(m: int, field: Field | None = None) -> NestedPair:
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    f = field if field is not None else field_make(2, m + 1)
-    if (f.p, f.u) != (2, m + 1):
-        raise ValueError(f"field must be GF(2^{m + 1})")
-    return _clustered_ndm(f, m, 4, [0, 3], 1, f"ndm_theorem1(m={m})")
+    return _clustered_ndm(field_make(2, m + 1), m, 4, [0, 3], 1, f"ndm_theorem1(m={m})")
 
 
 def _clustered_ndm(
@@ -199,7 +196,7 @@ def _clustered_ndm(
     return _ndm_from_labels(f, field_make(2, m), _labels(f, col_degree), row_order, child, what)
 
 
-def ndm_theorem2(m: int, field: Field | None = None) -> NestedPair:
+def ndm_theorem2(m: int) -> NestedPair:
     """A D(2^(m+2), 2^2, 2^(m+2)) containing a D(2^m, 2^2, 2^m), m >= 2.
 
     Columns r_1 over GF(2^(m+2)), rows in the four-cluster arrangement;
@@ -207,10 +204,7 @@ def ndm_theorem2(m: int, field: Field | None = None) -> NestedPair:
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    f = field if field is not None else field_make(2, m + 2)
-    if (f.p, f.u) != (2, m + 2):
-        raise ValueError(f"field must be GF(2^{m + 2})")
-    return _clustered_ndm(f, m, 8, [0, 7], 1, f"ndm_theorem2(m={m})")
+    return _clustered_ndm(field_make(2, m + 2), m, 8, [0, 7], 1, f"ndm_theorem2(m={m})")
 
 
 #: Defining polynomials for the eight-column family where the catalog
@@ -220,7 +214,7 @@ def ndm_theorem2(m: int, field: Field | None = None) -> NestedPair:
 THEOREM3_POLYS = {3: "x^5+x^4+x^3+x^2+1", 4: "x^6+x^3+1"}
 
 
-def ndm_theorem3(m: int, field: Field | None = None) -> NestedPair:
+def ndm_theorem3(m: int) -> NestedPair:
     """A D(2^(m+2), 2^3, 2^(m+2)) containing a D(2^(m+1), 2^3, 2^m), m >= 2.
 
     Columns r_2 over GF(2^(m+2)); child rows carry labels r_(m-2),
@@ -229,11 +223,7 @@ def ndm_theorem3(m: int, field: Field | None = None) -> NestedPair:
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    if field is None:
-        field = field_make(2, m + 2, THEOREM3_POLYS.get(m))
-    f = field
-    if (f.p, f.u) != (2, m + 2):
-        raise ValueError(f"field must be GF(2^{m + 2})")
+    f = field_make(2, m + 2, THEOREM3_POLYS.get(m))
     return _clustered_ndm(f, m, 8, [0, 3, 4, 7], 2, f"ndm_theorem3(m={m})")
 
 
@@ -244,7 +234,7 @@ def ndm_theorem3(m: int, field: Field | None = None) -> NestedPair:
 SEC34_GF32_POLY = "x^5+x^4+x^3+x^2+1"
 
 
-def ndm_sec34(variant: str, field: Field | None = None) -> NestedPair:
+def ndm_sec34(variant: str) -> NestedPair:
     """The two wide GF(32) families at their published size.
 
     ``variant="a8cols"`` builds a D(2^5, 2^3, 2^5) whose 8-row child
@@ -253,10 +243,7 @@ def ndm_sec34(variant: str, field: Field | None = None) -> NestedPair:
     """
     if variant not in ("a8cols", "b16cols"):
         raise ValueError(f"unknown variant {variant!r}; use 'a8cols' or 'b16cols'")
-    f = field if field is not None else field_make(2, 5, SEC34_GF32_POLY)
-    if (f.p, f.u) != (2, 5):
-        raise ValueError("field must be GF(2^5)")
-    g = field_make(2, 2)
+    f, g = field_make(2, 5, SEC34_GF32_POLY), field_make(2, 2)
     r0 = _labels(f, 0)
     g1_degrees = [(), (1,), (3,), (3, 1), (4,), (4, 1), (4, 3), (4, 3, 1)]
     x2 = _offsets_sum(f, [2])
@@ -466,10 +453,10 @@ def validation_pair(
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
+    require(a, "oa", "validation_pair: input array")
     group = a.uniform_group()
     if not isinstance(group, GaloisGroup) or (group.field.p, group.field.u) != (2, m + 1):
         raise ValueError(f"array must be over GF(2^{m + 1})")
-    require(a, "oa", "validation_pair: input array")
     f = group.field
     d0 = mult_table(f)
     s1 = f.order

@@ -26,6 +26,10 @@ designs from different seeds floor back to the identical rank matrix.
 Seeded within-level rank permutation is available separately through
 ``oa_lhd``.
 
+:class:`RelabeledArray`, :class:`Design` and :class:`NestedDesign` are
+immutable values like the arrays and nested pairs of ``arrays``: each copies
+any buffer handed to it from outside into a read-only array (the pipeline's
+own fresh buffers are taken over), and they compare and hash by content.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import ResidueGroup
-from .arrays import LevelArray, NestedPair, _array_key, _ByContent, _Owned, require
+from .arrays import LevelArray, NestedPair, _frozen, _Owned, _Value, require
 
 __all__ = [
     "RelabeledArray",
@@ -56,7 +60,7 @@ _JITTER_KEY = 2
 
 
 @dataclass(frozen=True, eq=False)
-class RelabeledArray(_ByContent):
+class RelabeledArray(_Value):
     """Integer-relabeled parent array of a nested pair.
 
     ``labels`` holds values ``1..s_j`` per column; ``group_sizes[j]`` is the
@@ -68,13 +72,7 @@ class RelabeledArray(_ByContent):
     group_sizes: tuple[int, ...]
     pair: NestedPair
 
-    def __post_init__(self) -> None:
-        lab = np.asarray(self.labels, dtype=np.int64)
-        lab.setflags(write=False)
-        object.__setattr__(self, "labels", lab)
-
-    def _content(self) -> tuple:
-        return (_array_key(self.labels), self.level_counts, self.group_sizes, self.pair)
+    _arrays = {"labels": np.int64}
 
     @property
     def n_rows(self) -> int:
@@ -102,7 +100,7 @@ def relabel(p: NestedPair) -> RelabeledArray:
         cols.append(label_of[p.parent.data[:, j]])
         sizes.append(s1 // proj.target.order)
         counts.append(s1)
-    return RelabeledArray(np.column_stack(cols), tuple(counts), tuple(sizes), p)
+    return RelabeledArray(_Owned(np.column_stack(cols)), tuple(counts), tuple(sizes), p)
 
 
 def oa_lhd(r: RelabeledArray, seed: int | None = None) -> np.ndarray:
@@ -129,7 +127,7 @@ def oa_lhd(r: RelabeledArray, seed: int | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Design(_ByContent):
+class Design(_Value):
     """Points in the unit cube obtained from a rank matrix.
 
     ``points[i, j]`` lies in ``[(ranks[i,j]-1)/n, ranks[i,j]/n)``, so the
@@ -142,16 +140,7 @@ class Design(_ByContent):
     midpoint: bool
     relabeled: RelabeledArray | None = None
 
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        rk = np.asarray(self.ranks, dtype=np.int64)
-        rk.setflags(write=False)
-        object.__setattr__(self, "ranks", rk)
-
-    def _content(self) -> tuple:
-        return (_array_key(self.points), _array_key(self.ranks), self.seed, self.midpoint, self.relabeled)
+    _arrays = {"points": np.float64, "ranks": np.int64}
 
     @property
     def n_rows(self) -> int:
@@ -163,20 +152,14 @@ class Design(_ByContent):
 
 
 @dataclass(frozen=True, eq=False)
-class NestedDesign(_ByContent):
+class NestedDesign(_Value):
     """A full design together with the nested child point set."""
 
     full: Design
     child_points: np.ndarray
     child_rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.child_points, dtype=np.float64)
-        pts.setflags(write=False)
-        object.__setattr__(self, "child_points", pts)
-
-    def _content(self) -> tuple:
-        return (self.full, _array_key(self.child_points), self.child_rows)
+    _arrays = {"child_points": np.float64}
 
 
 def to_design(
@@ -190,9 +173,9 @@ def to_design(
 
     ``midpoint`` uses u = 1/2; otherwise ``u`` is drawn uniformly from (0, 1]
     using the seed's jitter stream, keeping every point inside its own rank
-    cell and hence inside [0, 1).
+    cell and hence inside [0, 1).  ``ranks`` is copied.
     """
-    ranks = np.asarray(ranks, dtype=np.int64)
+    ranks = _frozen(ranks, np.int64, "ranks")
     n, m = ranks.shape
     bad = (np.sort(ranks, axis=0) != np.arange(1, n + 1)[:, None]).any(axis=0)
     if bad.any():
@@ -207,15 +190,14 @@ def to_design(
         ss = np.random.SeedSequence(seed, spawn_key=(_JITTER_KEY,))
         u = 1.0 - np.random.default_rng(ss).random((n, m))  # in (0, 1]
     points = (ranks - u) / n
-    return Design(points, ranks, seed, midpoint, relabeled)
+    return Design(_Owned(points), _Owned(ranks), seed, midpoint, relabeled)
 
 
 def extract_nested(d: Design, p: NestedPair) -> NestedDesign:
     """Child point set: the rows of the design at the pair's child rows."""
     if d.relabeled is None or d.relabeled.pair != p:
         raise ValueError("design was not generated from this nested pair")
-    rows = list(p.child_rows)
-    return NestedDesign(d, d.points[rows, :], p.child_rows)
+    return NestedDesign(d, _Owned(d.points[list(p.child_rows)]), p.child_rows)
 
 
 def nested_design(
@@ -228,8 +210,7 @@ def nested_design(
     cells and differ only within them.
     """
     r = relabel(p)
-    ranks = oa_lhd(r)
-    d = to_design(ranks, seed=seed, midpoint=midpoint, relabeled=r)
+    d = to_design(_Owned(oa_lhd(r)), seed=seed, midpoint=midpoint, relabeled=r)
     return extract_nested(d, p)
 
 

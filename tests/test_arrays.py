@@ -296,6 +296,18 @@ def test_subcols_rejects_out_of_range(gf4):
         subcols(mult_table(gf4), (5,))
 
 
+def test_indices_refuse_non_integral_values(gf4):
+    d = mult_table(gf4)
+    with pytest.raises(ValueError, match="non-integral row index"):
+        subrows(d, (0.5, 1))
+    with pytest.raises(ValueError, match="non-integral column index"):
+        subcols(d, (np.float64(1.9),))
+    assert subrows(d, (0.0, 3.0)) == subrows(d, (0, 3))
+    ident = identity_projection(GaloisGroup(gf4))
+    with pytest.raises(ValueError, match="non-integral child row index"):
+        NestedPair(d, (0.5, 1.5), (ident,) * 4)
+
+
 # ---------------------------------------------------------------------------
 # nested pairs
 # ---------------------------------------------------------------------------

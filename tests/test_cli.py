@@ -375,3 +375,54 @@ def test_damaged_bundle_exit_codes(noa_bundle, data, which):
             ]
     assert set(codes) <= allowed, (codes, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [{"blocks": []}, [1, 2], {"parent": "ex12_noa", "blocks": [{"cols": [0]}, {"cols": [1], "ref": "d_12_6_6"}]}],
+    ids=["no-parent", "not-an-object", "block-without-ref"],
+)
+@pytest.mark.parametrize("verb", ["thm7", "thm8"])
+def test_malformed_plan_exit_4(tmp_path, capsys, plan, verb):
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert run("construct", verb, f"plan={tmp_path / 'plan.json'}", "--out", str(tmp_path / "x")) == 4
+    assert capsys.readouterr().err.startswith("error: malformed plan file")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_plan_with_unknown_entry_exit_2(tmp_path):
+    plan = {"parent": "ex12_noa", "blocks": [{"cols": [0], "ref": "no_such_entry"}]}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    assert run("construct", "thm7", f"plan={tmp_path / 'plan.json'}", "--out", str(tmp_path / "x")) == 2
+
+
+WRONG_KIND_REFS = [
+    ["theorem4", "ndm=multtable:s=8"],
+    ["theorem4", "a=theorem1:m=2"],
+    ["theorem5", "noa=multtable:s=8"],
+    ["lemma7", "d1=qtw:s1=8,s2=4"],
+    ["thm9", "d1=theorem1:m=2"],
+    ["validation", "a=theorem1:m=2"],
+]
+
+
+def test_reference_of_the_wrong_kind_exit_2(tmp_path, capsys):
+    for argv in WRONG_KIND_REFS:
+        capsys.readouterr()
+        assert run("construct", *argv, "--out", str(tmp_path / "x")) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and " needs a " in err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_integral_child_rows_exit_4(tmp_path, capsys):
+    prefix = _bundle(tmp_path)
+    meta = json.loads((tmp_path / "b.json").read_text())
+    assert meta["nested"]["child_rows"] == [0, 1, 6, 7]
+    meta["nested"]["child_rows"] = [0.5, 1.5, 6.5, 7.5]
+    (tmp_path / "b.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("verify", "ndm", prefix) == 4
+    captured = capsys.readouterr()
+    assert "non-integral child row index" in captured.err and "PASS" not in captured.out

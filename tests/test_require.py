@@ -14,9 +14,10 @@ from conftest import ex12_inputs, ex13_dm, ex13_noa, thm8_inputs
 
 import nestfill
 from nestfill import arrays, cli, nsfd
-from nestfill.algebra import GaloisGroup, ResidueGroup, field_make, truncation
+from nestfill.algebra import GaloisGroup, ResidueGroup, field_make, identity_projection, truncation
 from nestfill.arrays import (
     LevelArray,
+    NestedPair,
     VerificationError,
     check_dm,
     check_nested,
@@ -120,9 +121,86 @@ def test_public_input_is_copied():
     assert not np.shares_memory(a.data, grid) and not np.shares_memory(b.data, a.data)
 
 
+_PAIR = NestedPair(LevelArray((Z2, Z2), _grid()), (0, 1, 2, 3), (identity_projection(Z2),) * 2)
+
+
+def _relabeled(labels):
+    n, m = labels.shape
+    return nsfd.RelabeledArray(labels, (n,) * m, (1,) * m, _PAIR)
+
+
+_FULL = nsfd.Design(np.array([[0.25], [0.75]]), np.array([[1], [2]]), None, True)
+
+#: name -> (dtype of the caller's buffer, the value built from it, the
+#: array field that holds the buffer's content)
+DESIGN_INTAKES = {
+    "RelabeledArray.labels": (np.int64, _relabeled, "labels"),
+    "Design.points": (np.float64, lambda b: nsfd.Design(b, np.ones(b.shape, dtype=int), 3, False), "points"),
+    "Design.ranks": (np.int64, lambda b: nsfd.Design(np.zeros(b.shape), b, None, True), "ranks"),
+    "to_design": (np.int64, lambda b: nsfd.to_design(b, seed=3), "ranks"),
+    "NestedDesign.child_points": (np.float64, lambda b: nsfd.NestedDesign(_FULL, b, (0,)), "child_points"),
+}
+
+
+@st.composite
+def _rank_grids(draw):
+    """Columns that each hold a permutation of 1..n, which ``to_design``
+    takes as ranks."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    cols = [draw(st.permutations(range(1, n + 1))) for _ in range(m)]
+    return np.array(cols, dtype=np.int64).T.copy()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ranks=_rank_grids(), name=st.sampled_from(sorted(DESIGN_INTAKES)))
+def test_no_view_taken_before_construction_changes_a_design(data, ranks, name):
+    dtype, build, field = DESIGN_INTAKES[name]
+    grid = ranks.astype(dtype)
+    before = grid.copy()
+    views = _views(grid)
+    value = build(data.draw(st.sampled_from(views)))
+    key = hash(value)
+    writer = data.draw(st.sampled_from(views))
+    r = data.draw(st.integers(0, grid.shape[0] - 1))
+    c = data.draw(st.integers(0, grid.shape[1] - 1))
+    writer[r, c] += 1
+    held = getattr(value, field)
+    assert np.array_equal(held, before) and hash(value) == key
+    assert not held.flags.writeable and grid.flags.writeable
+
+
+def test_values_refuse_non_integral_entries():
+    with pytest.raises(ValueError, match="data holds non-integral values"):
+        LevelArray((Z2, Z2), [[0.2, 0], [0, 1.9], [1, 0], [1, 1]])
+    with pytest.raises(ValueError, match="labels holds non-integral values"):
+        nsfd.RelabeledArray(np.array([[1.5]]), (1,), (1,), _PAIR)
+    with pytest.raises(ValueError, match="ranks holds non-integral values"):
+        nsfd.to_design(np.array([[1.0], [2.5]]), midpoint=True)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-integral"):
+            LevelArray((Z2,), [[bad]])
+    # integral floats are entries: mixed.py builds its zero column with np.zeros
+    assert LevelArray((Z2, Z2), _grid().astype(float)) == LevelArray((Z2, Z2), _grid())
+
+
+def test_equal_values_short_cut_on_identity(monkeypatch):
+    a = LevelArray((Z2, Z2), _grid())
+    shared = LevelArray(a.groups, arrays._Owned(a.data))
+    monkeypatch.setattr(arrays, "_key", lambda v: pytest.fail("content compared"))
+    assert a == a and a == shared and _PAIR == _PAIR
+
+
 # ---------------------------------------------------------------------------
 # the gate and its carried verdicts
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["oa", "dm", "noa", "ndm"])
+def test_require_refuses_the_wrong_type_as_a_usage_error(kind):
+    wrong = LevelArray((Z2, Z2), _grid()) if kind in ("noa", "ndm") else _PAIR
+    with pytest.raises(ValueError, match=f"^x: checking as {kind} needs a ") as info:
+        require(wrong, kind, "x")
+    assert not isinstance(info.value, VerificationError)
 
 
 def test_second_require_is_not_counted(monkeypatch):
