@@ -38,6 +38,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -141,7 +142,8 @@ def _frozen(value, dtype, name: str) -> np.ndarray:
             raise ValueError(f"{name} holds non-integral values")
     else:
         out = src.astype(dtype, copy=not owned)
-    out = np.atleast_2d(out)
+    if out.ndim < 2:
+        out = np.atleast_2d(out)
     out.setflags(write=False)
     return out
 
@@ -195,38 +197,36 @@ class LevelArray(_Value):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        data = self.data
+        data, groups = self.data, tuple(self.groups)
         object.__setattr__(self, "_passed", set())
-        object.__setattr__(self, "groups", tuple(self.groups))
-        if data.ndim != 2 or data.shape[1] != len(self.groups):
+        object.__setattr__(self, "groups", groups)
+        if data.ndim != 2 or data.shape[1] != len(groups):
             raise ValueError(
-                f"data shape {data.shape} does not match {len(self.groups)} column alphabets"
+                f"data shape {data.shape} does not match {len(groups)} column alphabets"
             )
         if data.size:
-            orders = np.array([g.order for g in self.groups])
-            outside = (data.min(axis=0) < 0) | (data.max(axis=0) >= orders)
-            if outside.any():
-                j = int(outside.argmax())
-                g, col = self.groups[j], data[:, j]
+            # read as unsigned, a negative entry is above every order, so one
+            # maximum per alphabet tests both ends
+            if groups.count(groups[0]) == len(groups):
+                outside = data.view(np.uint64).max() >= groups[0].order
+            else:
+                orders = np.array([g.order for g in groups], dtype=np.uint64)
+                outside = np.count_nonzero(data.view(np.uint64).max(axis=0) >= orders)
+            if outside:
+                orders = np.array([g.order for g in groups])
+                j = int(np.argmax((data.min(axis=0) < 0) | (data.max(axis=0) >= orders)))
+                g, col = groups[j], data[:, j]
                 bad = int(np.argmax((col < 0) | (col >= g.order)))
                 raise ValueError(
                     f"entry at row {bad}, column {j} is outside its alphabet {g.describe()}"
                 )
         if self.row_labels is not None:
-            labels = tuple(int(v) for v in self.row_labels)
-            object.__setattr__(self, "row_labels", labels)
-            if len(labels) != data.shape[0]:
-                raise ValueError("row_labels length does not match the row count")
-            if len(set(labels)) != len(labels):
-                raise ValueError("row_labels must be distinct")
             if self.label_group is None:
                 raise ValueError("row_labels given without a label_group")
-            order = self.label_group.order
-            if labels and (min(labels) < 0 or max(labels) >= order):
-                bad = next(v for v in labels if not 0 <= v < order)
-                raise ValueError(
-                    f"row label {bad} is outside its alphabet {self.label_group.describe()}"
-                )
+            labels = _check_indices(self.row_labels, self.label_group.order, "row label", self.label_group)
+            if len(labels) != data.shape[0]:
+                raise ValueError("row_labels length does not match the row count")
+            object.__setattr__(self, "row_labels", labels)
 
     @property
     def n_rows(self) -> int:
@@ -429,6 +429,14 @@ def check_oa(a: LevelArray) -> Verdict:
     return Verdict(True, "oa")
 
 
+@lru_cache(maxsize=None)
+def _slot_offsets(width: int, order: int) -> np.ndarray:
+    """Column ``k`` of a block counts its differences from slot ``k * order``."""
+    out = np.arange(0, width * order, order)[:, None]
+    out.setflags(write=False)
+    return out
+
+
 def check_dm(d: LevelArray) -> Verdict:
     """Difference-matrix verdict by exhaustive difference counting.
 
@@ -442,7 +450,7 @@ def check_dm(d: LevelArray) -> Verdict:
     in.  The pairs of a leading column are counted a block of later columns
     at a time, as in :func:`check_oa`.
     """
-    b, m = d.shape
+    b, m = d.data.shape
     if b == 0 or m == 0:
         return Verdict(False, "dm", f"empty array: {b} rows, {m} columns")
     g = d.uniform_group()
@@ -453,7 +461,7 @@ def check_dm(d: LevelArray) -> Verdict:
     width = _block_width(b)
     diff = sub_table(g).ravel()  # cell l_i * order + l_j holds l_i - l_j
     cols = np.ascontiguousarray(d.data.T)  # int64: it indexes diff
-    slots = np.arange(0, min(width, m) * order, order)[:, None]
+    slots = _slot_offsets(min(width, m), order)
     for i in range(m - 1):
         lead = cols[i] * order
         for j0, j1 in _spans(i + 1, m, width):
@@ -461,7 +469,7 @@ def check_dm(d: LevelArray) -> Verdict:
             diffs += slots[: j1 - j0]
             counts = np.bincount(diffs.ravel(), minlength=(j1 - j0) * order)
             bad = counts != want
-            if bad.any():
+            if np.count_nonzero(bad):
                 first = int(bad.argmax())
                 k, e = divmod(first, order)
                 return Verdict(
@@ -578,12 +586,18 @@ def normalize_dm(d: LevelArray) -> LevelArray:
     return LevelArray(d.groups, _Owned(data), row_labels=d.row_labels, label_group=d.label_group)
 
 
-def _check_indices(idx: Sequence[int], bound: int, what: str) -> tuple[int, ...]:
+def _check_indices(
+    idx: Sequence[int], bound: int, what: str, alphabet: Group | None = None
+) -> tuple[int, ...]:
     """``idx`` as a tuple of distinct ints in ``0..bound-1``; values that
-    ``int`` would change are refused."""
+    ``int`` would change are refused.  Indices into the elements of an
+    ``alphabet`` name the first one out of range and the alphabet."""
     idx = tuple(idx)
     if idx and (min(idx) < 0 or max(idx) >= bound):
-        raise ValueError(f"{what} index out of range")
+        if alphabet is None:
+            raise ValueError(f"{what} index out of range")
+        bad = next(v for v in idx if not 0 <= v < bound)
+        raise ValueError(f"{what} {bad} is outside its alphabet {alphabet.describe()}")
     out = tuple(map(int, idx))
     if out != idx:
         raise ValueError(f"non-integral {what} index")

@@ -58,7 +58,6 @@ from .arrays import (
     kronecker_add,
     require,
     subcols,
-    subrows,
 )
 
 __all__ = [
@@ -490,6 +489,19 @@ def search_nested_rows(
     Subsets are tried in lexicographic order (or uniformly at random when a
     seed is given), at most ``budget`` of them.  Returns the first subset
     that passes ``check_dm`` after collapsing, or None.
+
+    ``d`` is collapsed once; each candidate is then a row gather of the
+    collapsed entries, checked by one ``check_dm`` call on a ``LevelArray``
+    without row labels.  One call per candidate keeps every candidate under
+    the same counting verifier as everything else, and makes the number of
+    candidates examined visible to a tracer that counts ``check_dm`` calls
+    (the benchmark proves this way that all 1820 subsets of the 16-row GF(16)
+    table were tried).  A candidate of that search costs about 24 us,
+    against about 54 us when each went through ``subrows`` (medians over
+    ten alternating processes; 2-vCPU Xeon, Python 3.11, numpy 2.4).
+    Counting many candidates in one batched ``bincount`` would be cheaper
+    still; it waits until the benchmark reads an examined-candidate count
+    instead of counting these calls.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
@@ -512,7 +524,8 @@ def search_nested_rows(
 
         candidates = _random_subsets()
     collapsed = collapse(d, projection)  # collapsing commutes with row selection
+    groups, cells = collapsed.groups, collapsed.data
     for subset in itertools.islice(candidates, budget):
-        if check_dm(subrows(collapsed, subset)):
+        if check_dm(LevelArray(groups, _Owned(cells.take(subset, axis=0)))):
             return subset
     return None

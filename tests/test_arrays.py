@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_is_dm, naive_is_oa, randomize_array
 
@@ -461,6 +462,61 @@ def test_row_label_outside_label_group_is_rejected(gf4):
         LevelArray((g4,), [[0], [1]], row_labels=(99, -1), label_group=g4)
     with pytest.raises(ValueError, match=r"^row label -1 is outside its alphabet"):
         LevelArray((g4,), [[0], [1]], row_labels=(0, -1), label_group=g4)
+
+
+def test_row_labels_go_through_the_index_check(gf4):
+    g4 = GaloisGroup(gf4)
+    with pytest.raises(ValueError, match="non-integral row label index"):
+        LevelArray((g4,), [[0], [1]], row_labels=(0.5, 1.9), label_group=g4)
+    with pytest.raises(ValueError, match="row label indices must be distinct"):
+        LevelArray((g4,), [[0], [1]], row_labels=(1, 1), label_group=g4)
+    assert LevelArray((g4,), [[0], [1]], row_labels=(np.int64(3), 2.0), label_group=g4).row_labels == (3, 2)
+
+
+_ALPHABETS = [
+    GaloisGroup(field_make(2, 1)),
+    GaloisGroup(field_make(2, 2)),
+    GaloisGroup(field_make(3, 1)),
+    ResidueGroup(3),
+    ResidueGroup(6),
+    ProductGroup((ResidueGroup(2), ResidueGroup(3))),
+    ProductGroup((GaloisGroup(field_make(2, 2)), ResidueGroup(2))),
+]
+
+
+def _first_outside(data, groups):
+    """Per-column reference: the first column holding an entry outside its
+    alphabet, and the first such row in it."""
+    for j, g in enumerate(groups):
+        for r in range(data.shape[0]):
+            if not 0 <= data[r, j] < g.order:
+                return r, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_intake_names_the_entry_a_per_column_search_finds(data):
+    m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    if data.draw(st.booleans()):
+        groups = (data.draw(st.sampled_from(_ALPHABETS)),) * m
+    else:
+        groups = tuple(data.draw(st.lists(st.sampled_from(_ALPHABETS), min_size=m, max_size=m)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    cells = np.column_stack([rng.integers(0, g.order, n) for g in groups])
+    good = cells.copy()
+    for _ in range(data.draw(st.integers(1, 3))):
+        r, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+        low, high = st.integers(-(2**63), -1), st.integers(groups[j].order, 2**63 - 1)
+        cells[r, j] = data.draw(st.one_of(low, high))
+    r, j = _first_outside(cells, groups)
+    with pytest.raises(ValueError) as e:
+        LevelArray(groups, cells)
+    assert str(e.value) == f"entry at row {r}, column {j} is outside its alphabet {groups[j].describe()}"
+    assert np.array_equal(LevelArray(groups, good).data, good)
+    frac = good.astype(float)
+    frac[r, j] += 0.5
+    with pytest.raises(ValueError, match="^data holds non-integral values$"):
+        LevelArray(groups, frac)
 
 
 def test_save_bundle_writes_no_lone_csv(tmp_path, gf4):

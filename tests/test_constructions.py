@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import randomize_array
 
-from nestfill import constructions
+from nestfill import arrays, constructions
 from nestfill.algebra import (
     GaloisGroup,
     ResidueGroup,
@@ -21,6 +21,7 @@ from nestfill.algebra import (
     truncation,
 )
 from nestfill.arrays import (
+    LevelArray,
     check_dm,
     check_nested,
     check_oa,
@@ -448,6 +449,63 @@ def test_search_agrees_with_the_per_candidate_reference(data):
         assert search_nested_rows(d, child_size, projection, count + 1, seed) == want
         if count:
             assert search_nested_rows(d, child_size, projection, count, seed) is None
+
+
+@pytest.mark.parametrize("target", [(2, 2), (2, 1)])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_search_agrees_with_the_reference_across_chunk_sizes(target, seed):
+    """Budgets on both sides of 512 candidates, where a gather of candidates
+    in chunks would cut, on the 16-row GF(16) table."""
+    gf16 = field_make(2, 4)
+    d, projection = mult_table(gf16), truncation(gf16, field_make(*target))
+    for budget in (1, 511, 512, 513, 1820):
+        want, _ = reference_search(d, 4, projection, budget, seed)
+        assert search_nested_rows(d, 4, projection, budget, seed) == want
+
+
+def test_search_finds_an_answer_beyond_the_first_chunk():
+    # no proper row subset of all 16 columns passes; three columns let one
+    gf16 = field_make(2, 4)
+    d, projection = subcols(mult_table(gf16), (1, 5, 11)), truncation(gf16, field_make(2, 2))
+    found, count = reference_search(d, 4, projection, 1820, seed=0)
+    assert found == (2, 6, 11, 15) and count == 663  # past the first 512 candidates
+    for budget in (count, count + 1, 1820):
+        assert search_nested_rows(d, 4, projection, budget, seed=0) == (found if budget > count else None)
+
+
+def _count_dm_calls(monkeypatch):
+    """Count ``check_dm`` calls in both modules that make them, as the
+    benchmark's tracer does: the input gate's in ``arrays``, the candidates'
+    in ``constructions``.  Returns the list of arrays checked."""
+    calls = []
+    real = arrays.check_dm
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(arrays, "check_dm", counted)
+    monkeypatch.setattr(constructions, "check_dm", counted)
+    return calls
+
+
+def test_search_checks_each_candidate_with_one_check_dm_call(monkeypatch):
+    # the benchmark proves that all 1820 subsets were tried by these calls
+    gf16 = field_make(2, 4)
+    calls = _count_dm_calls(monkeypatch)
+    assert search_nested_rows(mult_table(gf16), 4, truncation(gf16, field_make(2, 2)), 1820) is None
+    assert len(calls) == 1 + 1820  # the input gate, then every 4-row subset
+
+
+def test_a_passing_search_stops_its_check_dm_calls_at_the_answer(monkeypatch, gf8, gf4):
+    d1 = ndm_theorem1(2).parent
+    d = LevelArray(d1.groups, d1.data)  # not yet gated, so the input check counts
+    projection = truncation(gf8, gf4)
+    found, count = reference_search(d, 4, projection, 70)
+    calls = _count_dm_calls(monkeypatch)
+    assert search_nested_rows(d, 4, projection, budget=70) == found == (0, 1, 6, 7)
+    assert len(calls) == 1 + count + 1
+    assert np.array_equal(calls[-1].data, collapse(subrows(d, found), projection).data)
 
 
 def test_search_collapses_once(monkeypatch, gf8, gf4):
