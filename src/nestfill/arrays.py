@@ -39,6 +39,7 @@ import os
 import tempfile
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -667,26 +668,41 @@ def _atomic_write(path: str, content: str) -> None:
 
 
 def _parse_grid(groups: Sequence[Group], rows: list[list[str]], where: str) -> np.ndarray:
-    """Element indices of a grid of cell texts, one column at a time.
+    """Element indices of a grid of cell texts, one alphabet at a time.
 
-    Each cell is one lookup in its column's codec; a cell the codec does not
-    hold goes through ``parse_index``, and one that does not parse raises
-    :class:`FormatError` with its position.
+    The cells of all the columns that share an alphabet are looked up in one
+    pass through its codec; a cell the codec does not hold goes through
+    ``parse_index``.  A cell that does not parse raises :class:`FormatError`
+    with its position; of several, the one in the lowest column, then the
+    lowest row, is named, whatever the alphabets.
     """
+    m = len(groups)
     for r, cells in enumerate(rows):
-        if len(cells) != len(groups):
-            raise FormatError(f"{where}: row {r + 1} has {len(cells)} cells, expected {len(groups)}")
-    data = np.empty((len(rows), len(groups)), dtype=np.int64)
-    for j, (g, col) in enumerate(zip(groups, zip(*rows))):
-        idx = list(map(text_codec(g)[1].get, col))
-        if None in idx:
-            for r, cell in enumerate(col):
-                if idx[r] is None:
-                    try:
-                        idx[r] = g.parse_index(cell)
-                    except ValueError as e:
-                        raise FormatError(f"{where}: row {r + 1}, column {j + 1}: {e}") from None
-        data[:, j] = idx
+        if len(cells) != m:
+            raise FormatError(f"{where}: row {r + 1} has {len(cells)} cells, expected {m}")
+    data = np.empty((len(rows), m), dtype=np.int64)
+    columns: dict[Group, list[int]] = {}
+    for j, g in enumerate(groups):
+        columns.setdefault(g, []).append(j)
+    bad = None  # (column, row, message) of the first bad cell found so far
+    for g, js in columns.items():
+        cells = list(chain.from_iterable(rows)) if len(js) == m else [row[j] for row in rows for j in js]
+        idx = np.fromiter(map(text_codec(g)[1].get, cells, repeat(-1)), np.int64, len(cells))
+        # the misses in column-major order, the order the first bad cell is named in
+        for k in sorted(np.flatnonzero(idx < 0).tolist(), key=lambda k: (k % len(js), k)):
+            r, j = k // len(js), js[k % len(js)]
+            if bad is not None and (j, r) > bad[:2]:
+                break
+            try:
+                idx[k] = g.parse_index(cells[k])
+            except ValueError as e:
+                bad = (j, r, str(e))
+                break
+        if bad is None:
+            data[:, js] = idx.reshape(len(rows), len(js))
+    if bad is not None:
+        j, r, msg = bad
+        raise FormatError(f"{where}: row {r + 1}, column {j + 1}: {msg}")
     return data
 
 
@@ -742,19 +758,36 @@ class BundleFormatError(FormatError):
     """A bundle's files exist but do not hold a valid bundle."""
 
 
+def _once_per_spec(build):
+    """``build`` wrapped to run once per distinct sidecar dict, keyed on the
+    dict's exact text (its ``repr``), so that equal specs share one
+    validated object while ``2``, ``2.0`` and ``true`` stay distinct keys."""
+    made: dict = {}
+
+    def get(spec):
+        key = repr(spec)
+        if key not in made:
+            made[key] = build(spec)
+        return made[key]
+
+    return get
+
+
 def load_bundle(prefix: str) -> tuple[LevelArray | NestedPair, str | None]:
     """Inverse of :func:`save_bundle`.
 
-    A missing or unreadable file raises ``OSError``; any malformed content
-    (bad JSON, wrong sidecar structure, bad CSV text, an object that fails
-    its own validation) raises :class:`BundleFormatError`.
+    Each distinct column alphabet and projection spec of the sidecar is
+    built and validated once per load; the columns that repeat a spec share
+    its object.  A missing or unreadable file raises ``OSError``; any
+    malformed content (bad JSON, wrong sidecar structure, bad CSV text, an
+    object that fails its own validation) raises :class:`BundleFormatError`.
     """
     try:
         with open(prefix + ".json") as fh:
             meta = json.load(fh)
         if not isinstance(meta, dict) or not isinstance(meta.get("columns"), list):
             raise ValueError("sidecar is not a JSON object with a 'columns' list")
-        groups = [group_from_dict(g) for g in meta["columns"]]
+        groups = list(map(_once_per_spec(group_from_dict), meta["columns"]))
         arr = read_array_csv(prefix + ".csv", groups)
         if meta.get("label_group"):
             label_group = group_from_dict(meta["label_group"])
@@ -762,8 +795,8 @@ def load_bundle(prefix: str) -> tuple[LevelArray | NestedPair, str | None]:
             arr = LevelArray(arr.groups, _Owned(arr.data), row_labels=labels, label_group=label_group)
         nested = meta.get("nested")
         if nested:
-            projections = [projection_from_dict(p) for p in nested["projections"]]
-            return NestedPair(arr, tuple(nested["child_rows"]), tuple(projections)), meta.get("kind")
+            projections = tuple(map(_once_per_spec(projection_from_dict), nested["projections"]))
+            return NestedPair(arr, tuple(nested["child_rows"]), projections), meta.get("kind")
         return arr, meta.get("kind")
     except (LookupError, TypeError, ValueError) as e:
         detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)

@@ -262,12 +262,11 @@ def _load(prefix: str):
     return obj
 
 
-def _write_design_csv(path: str, points) -> None:
+def _design_lines(points) -> list[str]:
+    """The lines of a design CSV: header ``x1,...,xm``, then one per point."""
     m = points.shape[1]
     fmt = ",".join(["%.12g"] * m)
-    lines = [",".join(f"x{j + 1}" for j in range(m))]
-    lines.extend(fmt % tuple(row) for row in points.tolist())
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return [",".join(f"x{j + 1}" for j in range(m))] + [fmt % tuple(row) for row in points.tolist()]
 
 
 def cmd_lhd(args) -> int:
@@ -281,8 +280,11 @@ def cmd_lhd(args) -> int:
     gh = [p.target.order for p in obj.projections]
     require(_strata(nd.full.points, gl), "oa", "stratification of the full design")
     require(_strata(nd.child_points, gh), "oa", "stratification of the subset design")
-    _write_design_csv(args.out + "_dl.csv", nd.full.points)
-    _write_design_csv(args.out + "_dh.csv", nd.child_points)
+    # D_h is D_l at the child rows (child_points is full.points[child_rows]),
+    # so its lines are D_l's lines, formatted once
+    dl = _design_lines(nd.full.points)
+    _atomic_write(args.out + "_dl.csv", "\n".join(dl) + "\n")
+    _atomic_write(args.out + "_dh.csv", "\n".join([dl[0]] + [dl[1 + r] for r in nd.child_rows]) + "\n")
     meta = {
         "seed": args.seed,
         "midpoint": args.midpoint,

@@ -27,6 +27,7 @@ Two conventions are fixed so results are reproducible cell for cell:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -488,7 +489,10 @@ def search_nested_rows(
 
     Subsets are tried in lexicographic order (or uniformly at random when a
     seed is given), at most ``budget`` of them.  Returns the first subset
-    that passes ``check_dm`` after collapsing, or None.
+    that passes ``check_dm`` after collapsing, or None.  Random draws are
+    with replacement: a repeated draw counts against the budget but is not
+    checked again, and the draws stop once every distinct subset has been
+    checked.
 
     ``d`` is collapsed once; each candidate is then a row gather of the
     collapsed entries, checked by one ``check_dm`` call on a ``LevelArray``
@@ -519,13 +523,20 @@ def search_nested_rows(
         rng = np.random.default_rng(seed)
 
         def _random_subsets():
-            while True:
-                yield tuple(sorted(rng.choice(b, size=child_size, replace=False).tolist()))
+            # None marks a repeated draw: it spends budget and is not checked
+            seen, total = set(), math.comb(b, child_size)
+            while len(seen) < total:
+                subset = tuple(sorted(rng.choice(b, size=child_size, replace=False).tolist()))
+                if subset in seen:
+                    yield None
+                else:
+                    seen.add(subset)
+                    yield subset
 
         candidates = _random_subsets()
     collapsed = collapse(d, projection)  # collapsing commutes with row selection
     groups, cells = collapsed.groups, collapsed.data
     for subset in itertools.islice(candidates, budget):
-        if check_dm(LevelArray(groups, _Owned(cells.take(subset, axis=0)))):
+        if subset is not None and check_dm(LevelArray(groups, _Owned(cells.take(subset, axis=0)))):
             return subset
     return None

@@ -1,6 +1,7 @@
 """Checkers, structural operations, and the CSV/JSON formats."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nestfill.algebra import (
     truncation,
 )
 from nestfill.arrays import (
+    BundleFormatError,
     LevelArray,
     NestedPair,
     cast_group,
@@ -40,6 +42,7 @@ from nestfill.constructions import (
     full_factorial,
     mult_table,
     ndm_theorem1,
+    noa_theorem4,
     rao_hamming_oa,
     trivial_oa,
     zero_sum_noa,
@@ -390,6 +393,48 @@ def test_bundle_round_trip_mixed(tmp_path):
     loaded, _ = load_bundle(prefix)
     assert loaded.groups == entry.payload.groups
     assert np.array_equal(loaded.data, entry.payload.data)
+
+
+def _distinct(objs) -> int:
+    return len({id(o) for o in objs})
+
+
+def test_bundle_columns_share_one_alphabet_and_one_projection(tmp_path, gf8):
+    pair = noa_theorem4(rao_hamming_oa(gf8, 2), ndm_theorem1(2))
+    prefix = str(tmp_path / "b")
+    save_bundle(prefix, pair, "noa")
+    loaded, _ = load_bundle(prefix)
+    assert loaded == pair and loaded.parent.n_cols == 36
+    assert _distinct(loaded.parent.groups) == 1 and _distinct(loaded.projections) == 1
+
+
+def test_bundle_with_two_alphabets_loads_two_objects(tmp_path, gf4):
+    gf, z6 = GaloisGroup(gf4), ResidueGroup(6)
+    a = LevelArray((gf, z6, gf, z6, gf), np.arange(60).reshape(12, 5) % 4)
+    prefix = str(tmp_path / "a")
+    save_bundle(prefix, a)
+    loaded, _ = load_bundle(prefix)
+    assert loaded == a and _distinct(loaded.groups) == 2
+    assert loaded.groups[0] is loaded.groups[2] is loaded.groups[4]
+    assert loaded.groups[1] is loaded.groups[3]
+
+
+@pytest.mark.parametrize("where", ["column", "projection"])
+def test_bundle_validates_every_distinct_spec(tmp_path, gf8, where):
+    """One column's (or one projection's) alphabet with a reducible
+    polynomial among 35 good ones still fails the load."""
+    pair = noa_theorem4(rao_hamming_oa(gf8, 2), ndm_theorem1(2))
+    prefix = str(tmp_path / "b")
+    save_bundle(prefix, pair, "noa")
+    meta = json.loads((tmp_path / "b.json").read_text())
+    if where == "column":
+        spec = meta["columns"][17]
+    else:
+        spec = meta["nested"]["projections"][17]["source"]
+    spec["irreducible"] = [1, 1, 1, 1]  # (x+1)^3
+    (tmp_path / "b.json").write_text(json.dumps(meta))
+    with pytest.raises(BundleFormatError, match=r"x\^3\+x\^2\+x\+1 is reducible over Z_2"):
+        load_bundle(prefix)
 
 
 def test_hstack_requires_equal_rows(gf4):

@@ -101,6 +101,19 @@ def test_lhd_midpoint_and_seeds(tmp_path, capsys):
     assert np.array_equal(np.floor(a * 64), np.floor(b * 64))
 
 
+@pytest.mark.parametrize("flags", [["--midpoint"], ["--seed", "3"]])
+def test_lhd_dh_lines_are_dl_lines_at_the_child_rows(tmp_path, flags):
+    prefix = str(tmp_path / "cb")
+    assert run("construct", "theorem4", "a=raohamming:s=8,k=2", "ndm=theorem1:m=2", "--out", prefix) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("lhd", prefix, *flags, "--out", str(tmp_path / "d")) == 0
+    dl = (tmp_path / "d_dl.csv").read_bytes().split(b"\n")
+    dh = (tmp_path / "d_dh.csv").read_bytes().split(b"\n")
+    rows = json.loads((tmp_path / "d_meta.json").read_text())["child_rows"]
+    assert len(rows) == 256 and len(dl) == 512 + 2  # header, rows, final newline
+    assert dh == [dl[0]] + [dl[1 + r] for r in rows] + [b""]
+
+
 def test_lhd_requires_seed_or_midpoint(tmp_path):
     prefix = str(tmp_path / "zs")
     assert run("construct", "zerosum", "s1=4", "s2=2", "--out", prefix) == 0

@@ -167,6 +167,33 @@ def test_reader_format_errors(tmp_path, text, match):
         read_array_csv(str(path), (GF4, PRODUCTS[0]))
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        # bad cells at (row 3, column 1) and (row 1, column 2)
+        ("c1,c2,c3\nx,?,1\n1,2,x\n?,3,0\n", r"row 3, column 1: "),
+        # column 3 shares column 1's alphabet, column 2 does not
+        ("c1,c2,c3\nx,0,?\n1,?,x\n", r"row 2, column 2: "),
+        ("c1,c2,c3\nx,0,1\n1,5,?\n?,0,?\n", r"row 3, column 1: "),
+    ],
+)
+def test_reader_names_the_first_bad_cell_across_alphabets(tmp_path, text, match):
+    """The lowest column, then the lowest row, whichever alphabet is read first."""
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=match):
+        read_array_csv(str(path), (GF4, Z6, GF4))
+
+
+def test_reader_accepts_non_canonical_cells_in_a_shared_alphabet(tmp_path):
+    canonical, spelled = tmp_path / "a.csv", tmp_path / "b.csv"
+    canonical.write_text("c1,c2,c3\nx+1,5,x\nx,0,x+1\n")
+    spelled.write_text("c1,c2,c3\nx+1,5,x^1\nx,0,1+x\n")
+    want = read_array_csv(str(canonical), (GF4, Z6, GF4))
+    assert read_array_csv(str(spelled), (GF4, Z6, GF4)) == want
+    assert want.texts() == [["x+1", "5", "x"], ["x", "0", "x+1"]]
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n", "00 01\n11"])
 def test_from_text_format_errors(text):
     with pytest.raises(FormatError, match="grid"):

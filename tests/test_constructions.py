@@ -508,6 +508,26 @@ def test_a_passing_search_stops_its_check_dm_calls_at_the_answer(monkeypatch, gf
     assert np.array_equal(calls[-1].data, collapse(subrows(d, found), projection).data)
 
 
+def test_a_seeded_search_checks_each_distinct_subset_once(monkeypatch):
+    # 3000 draws with replacement of the 120 two-row subsets of 16 rows
+    gf16 = field_make(2, 4)
+    d, projection = mult_table(gf16), truncation(gf16, field_make(2, 1))
+    assert reference_search(d, 2, projection, 3000, seed=0) == (None, None)
+    calls = _count_dm_calls(monkeypatch)
+    assert search_nested_rows(d, 2, projection, 3000, seed=0) is None
+    assert len(calls) == 1 + 120  # the input gate, then each subset once
+    checked = [tuple(map(tuple, c.data.tolist())) for c in calls[1:]]
+    assert len(set(checked)) == len(checked)
+
+
+def test_a_seeded_search_of_every_row_draws_once(monkeypatch, gf8, gf4):
+    d1 = ndm_theorem1(2).parent
+    d = LevelArray(d1.groups, d1.data)
+    calls = _count_dm_calls(monkeypatch)
+    assert search_nested_rows(d, d.n_rows, truncation(gf8, gf4), 50, seed=5) == tuple(range(d.n_rows))
+    assert len(calls) == 1 + 1
+
+
 def test_search_collapses_once(monkeypatch, gf8, gf4):
     calls = []
     real = constructions.collapse

@@ -217,6 +217,17 @@ def test_extract_nested_rows(ex8_pair):
     assert np.array_equal(nd.child_points, nd.full.points[list(ex8_pair.child_rows)])
 
 
+@pytest.mark.parametrize("make", [_equal_level_pair, _mixed_level_pair], ids=["equal", "mixed"])
+@pytest.mark.parametrize("kw", [{"seed": 7}, {"seed": 2**40 + 3}, {"midpoint": True}], ids=["seed", "big-seed", "midpoint"])
+def test_child_points_are_the_full_points_at_the_child_rows(make, kw):
+    # `nestfill lhd` writes D_h as D_l's formatted lines at the child rows
+    p = make()
+    nd = nested_design(p, **kw)
+    want = nd.full.points[list(p.child_rows)]
+    assert nd.child_points.dtype == want.dtype and nd.child_points.shape == want.shape
+    assert nd.child_points.tobytes() == want.tobytes()
+
+
 def test_extract_nested_child_all_rows():
     pair = zero_sum_noa(4, 4)
     nd = nested_design(pair, midpoint=True)
