@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -22,6 +23,7 @@ from .algebra import (
     field_make,
     identity_projection,
     prime_power,
+    truncation,
 )
 from .arrays import (
     FormatError,
@@ -54,7 +56,6 @@ from .constructions import (
 )
 from .mixed import mixed_dm_lemma7, noa_theorem9, ww_from_ndms, ww_from_noas
 from .nsfd import _strata, nested_design
-from .algebra import truncation
 
 
 class UsageError(Exception):
@@ -65,40 +66,38 @@ class IoFailed(Exception):
     pass
 
 
-def _field_for_order(s: int):
-    pp = prime_power(s)
+def _order(text: str):
+    """The Galois field of a prime-power order."""
+    pp = prime_power(int(text))
     if pp is None:
-        raise UsageError(f"{s} is not a prime power")
+        raise UsageError(f"{text} is not a prime power")
     return field_make(*pp)
 
 
-def _int(params: dict, key: str, default=None) -> int:
-    if key not in params:
-        if default is None:
-            raise UsageError(f"missing parameter {key}=")
-        return default
+def _entry(name: str):
+    """The catalog entry ``name``; an unknown name is a usage error."""
     try:
-        return int(params[key])
-    except ValueError:
-        raise UsageError(f"parameter {key}= wants an integer, got {params[key]!r}") from None
+        return cat.catalog_get(name)
+    except KeyError as e:
+        raise UsageError(e.args[0]) from None
 
 
-def _resolve_ref(text: str):
+def _ref(text: str):
     """A catalog entry name, or an inline construction call like
     ``theorem1:m=2`` or ``multtable:s=8``."""
-    if ":" in text:
-        name, _, argstr = text.partition(":")
-        params = {}
-        for piece in argstr.split(","):
-            if piece:
-                k, _, v = piece.partition("=")
-                params[k] = v
-        obj, _kind = _construct(name, params)
-        return obj
-    try:
-        return cat.catalog_get(text).payload
-    except KeyError as e:
-        raise UsageError(str(e)) from None
+    if ":" not in text:
+        return _entry(text).payload
+    name, _, argstr = text.partition(":")
+    if name == "validation":
+        raise UsageError("validation builds an array and a nested pair, so it cannot be a reference")
+    return _build(name, argstr.split(",") if argstr else [])[0]
+
+
+def _default_thm7_blocks():
+    return cat.catalog_get("ex12_noa").payload, [
+        ((0,), cat.catalog_derive("d_12_6_6")),
+        ((1,), cat.catalog_get("seberry_12_12_4").payload),
+    ]
 
 
 def _default_thm8_blocks():
@@ -121,101 +120,104 @@ def _load_plan(path: str):
     try:
         refs = [plan["parent"]] + [b["ref"] for b in plan["blocks"]]
         cols = [tuple(b["cols"]) for b in plan["blocks"]]
-        use_b = bool(plan.get("b", False))
+        use_b = plan.get("b", False)
         if not all(isinstance(r, str) for r in refs):
             raise TypeError("references must be strings")
+        if not isinstance(use_b, bool):
+            raise TypeError(f"b must be true or false, got {use_b!r}")
     except (LookupError, TypeError) as e:
         raise IoFailed(f"malformed plan file {path}: {type(e).__name__}: {e}") from None
-    parent, *blocks = map(_resolve_ref, refs)
+    parent, *blocks = map(_ref, refs)
     return parent, list(zip(cols, blocks)), use_b
 
 
-def _construct(name: str, params: dict):
-    """Dispatch a construction name; returns (object, kind)."""
-    if name in ("theorem1", "theorem2", "theorem3"):
-        m = _int(params, "m")
-        fn = {"theorem1": ndm_theorem1, "theorem2": ndm_theorem2, "theorem3": ndm_theorem3}[name]
-        return fn(m), "ndm"
-    if name == "sec34":
-        variant = params.get("variant", "a8cols")
-        return ndm_sec34(variant), "ndm"
-    if name == "p3":
-        return ndm_p3(params.get("instance", "gf27_to_gf9")), "ndm"
-    if name == "raohamming":
-        f = _field_for_order(_int(params, "s"))
-        return rao_hamming_oa(f, _int(params, "k")), "oa"
-    if name == "qtw":
-        f1 = _field_for_order(_int(params, "s1"))
-        f2 = _field_for_order(_int(params, "s2"))
-        return qtw_noa(f1, f2, _int(params, "k", 2)), "noa"
-    if name == "zerosum":
-        return zero_sum_noa(_int(params, "s1"), _int(params, "s2")), "noa"
-    if name == "trivial":
-        return trivial_oa(GaloisGroup(_field_for_order(_int(params, "s")))), "oa"
-    if name == "multtable":
-        return mult_table(_field_for_order(_int(params, "s"))), "dm"
-    if name == "theorem4":
-        a = _resolve_ref(params.get("a", "trivial:s=8"))
-        ndm = _resolve_ref(params.get("ndm", "theorem1:m=2"))
-        return noa_theorem4(a, ndm), "noa"
-    if name == "theorem5":
-        noa = _resolve_ref(params.get("noa", "qtw:s1=8,s2=4,k=2"))
-        dm = _resolve_ref(params.get("dm", "multtable:s=8"))
-        return noa_theorem5(noa, dm), "noa"
-    if name == "validation":
-        m = _int(params, "m", 2)
-        a = _resolve_ref(params.get("a", f"trivial:s={2 ** (m + 1)}"))
-        full, pair, shared = validation_pair(m, a)
-        return (full, pair, shared), "validation"
-    if name == "thm7":
-        if "plan" in params:
-            parent, blocks, use_b = _load_plan(params["plan"])
-        else:
-            parent = cat.catalog_get("ex12_noa").payload
-            blocks = [
-                ((0,), cat.catalog_derive("d_12_6_6")),
-                ((1,), cat.catalog_get("seberry_12_12_4").payload),
-            ]
-            use_b = False
-        use_b = bool(_int(params, "b", int(use_b)))
-        return ww_from_noas(parent, blocks, include_b=use_b), "noa"
-    if name == "thm8":
-        if "plan" in params:
-            a, blocks, use_b = _load_plan(params["plan"])
-        else:
-            a, blocks = _default_thm8_blocks()
-            use_b = False
-        use_b = bool(_int(params, "b", int(use_b)))
-        return ww_from_ndms(a, blocks, include_b=use_b), "noa"
-    if name == "lemma7":
-        d1 = _resolve_ref(params.get("d1", "multtable:s=4"))
-        d2 = _resolve_ref(params.get("d2", "multtable:s=3"))
-        return mixed_dm_lemma7(d1, d2, _int(params, "c0", 2)), "mixed-dm"
-    if name == "thm9":
-        d1 = _resolve_ref(params.get("d1", "multtable:s=4"))
-        d2 = _resolve_ref(params.get("d2", "multtable:s=3"))
-        d = mixed_dm_lemma7(d1, d2, _int(params, "c0", 2))
-        g1, g2 = d.groups[0].components
-        delta1 = truncation(g1.field, field_make(g1.field.p, max(1, g1.field.u - 1)))
-        delta2 = identity_projection(g2)
-        return noa_theorem9(d, delta1, delta2), "noa"
-    raise UsageError(f"unknown construction {name!r}")
+def _planned(build, plan, b, default_blocks):
+    """thm7/thm8 on a plan file or on the default blocks; ``b=`` overrides
+    the plan's ``b``."""
+    parent, blocks, use_b = _load_plan(plan) if plan is not None else (*default_blocks(), False)
+    return build(parent, blocks, include_b=use_b if b is None else b)
 
 
-CONSTRUCTION_NAMES = (
-    "theorem1 theorem2 theorem3 sec34 p3 raohamming qtw zerosum trivial "
-    "multtable theorem4 theorem5 validation thm7 thm8 lemma7 thm9"
-).split()
+def _thm9(d1, d2, c0):
+    d = mixed_dm_lemma7(d1, d2, c0)
+    g1, g2 = d.groups[0].components
+    if not isinstance(g1, GaloisGroup):
+        raise UsageError(f"thm9: d1= needs a Galois field alphabet to truncate, got {g1.describe()}")
+    delta1 = truncation(g1.field, field_make(g1.field.p, max(1, g1.field.u - 1)))
+    return noa_theorem9(d, delta1, identity_projection(g2))
+
+
+# a key's type: the pattern its text must match, and the call that reads it
+DECIMAL = ("[0-9]+", int)
+FLAG = ("[01]", lambda text: text == "1")
+ORDER = ("[0-9]+", _order)
+TEXT = (".*", str)
+REF = (".*", _ref)
+
+_LEMMA7_KEYS = {"d1": (REF, "multtable:s=4"), "d2": (REF, "multtable:s=3"), "c0": (DECIMAL, "2")}
+_PLAN_KEYS = {"plan": (TEXT, None), "b": (FLAG, None)}
+
+# name -> (kind, keys, build).  ``kind`` is what cmd_construct gates and
+# writes; ``keys`` maps each key to (type, default), where ``...`` marks a
+# required key and ``None`` a default that ``build`` works out.  ``build``
+# gets every key by name and must reach the constructors through this
+# module's globals when it runs, so that a wrapper bound there sees the call.
+CONSTRUCTIONS = {
+    "theorem1": ("ndm", {"m": (DECIMAL, ...)}, lambda m: ndm_theorem1(m)),
+    "theorem2": ("ndm", {"m": (DECIMAL, ...)}, lambda m: ndm_theorem2(m)),
+    "theorem3": ("ndm", {"m": (DECIMAL, ...)}, lambda m: ndm_theorem3(m)),
+    "sec34": ("ndm", {"variant": (TEXT, "a8cols")}, lambda variant: ndm_sec34(variant)),
+    "p3": ("ndm", {"instance": (TEXT, "gf27_to_gf9")}, lambda instance: ndm_p3(instance)),
+    "raohamming": ("oa", {"s": (ORDER, ...), "k": (DECIMAL, ...)}, lambda s, k: rao_hamming_oa(s, k)),
+    "qtw": ("noa", {"s1": (ORDER, ...), "s2": (ORDER, ...), "k": (DECIMAL, "2")},
+            lambda s1, s2, k: qtw_noa(s1, s2, k)),
+    "zerosum": ("noa", {"s1": (DECIMAL, ...), "s2": (DECIMAL, ...)}, lambda s1, s2: zero_sum_noa(s1, s2)),
+    "trivial": ("oa", {"s": (ORDER, ...)}, lambda s: trivial_oa(GaloisGroup(s))),
+    "multtable": ("dm", {"s": (ORDER, ...)}, lambda s: mult_table(s)),
+    "theorem4": ("noa", {"a": (REF, "trivial:s=8"), "ndm": (REF, "theorem1:m=2")},
+                 lambda a, ndm: noa_theorem4(a, ndm)),
+    "theorem5": ("noa", {"noa": (REF, "qtw:s1=8,s2=4,k=2"), "dm": (REF, "multtable:s=8")},
+                 lambda noa, dm: noa_theorem5(noa, dm)),
+    "validation": ("validation", {"m": (DECIMAL, "2"), "a": (REF, None)},
+                   lambda m, a: validation_pair(m, _ref(f"trivial:s={2 ** (m + 1)}") if a is None else a)),
+    "thm7": ("noa", _PLAN_KEYS, lambda plan, b: _planned(ww_from_noas, plan, b, _default_thm7_blocks)),
+    "thm8": ("noa", _PLAN_KEYS, lambda plan, b: _planned(ww_from_ndms, plan, b, _default_thm8_blocks)),
+    "lemma7": ("mixed-dm", _LEMMA7_KEYS, lambda d1, d2, c0: mixed_dm_lemma7(d1, d2, c0)),
+    "thm9": ("noa", _LEMMA7_KEYS, _thm9),
+}
+
+
+def _build(name: str, pieces) -> tuple:
+    """Read ``key=value`` pieces by ``name``'s entry in :data:`CONSTRUCTIONS`
+    and build it; returns (object, kind).  The command line and inline
+    references both come through here."""
+    if name not in CONSTRUCTIONS:
+        raise UsageError(f"unknown construction {name!r}; known: {', '.join(CONSTRUCTIONS)}")
+    kind, keys, build = CONSTRUCTIONS[name]
+    known = f"known keys of {name}: {', '.join(keys)}"
+    given = {}
+    for piece in pieces:
+        k, sep, v = piece.partition("=")
+        if not sep:
+            raise UsageError(f"{name}: parameters look like key=value, got {piece!r}; {known}")
+        if k not in keys:
+            raise UsageError(f"{name}: unknown parameter {k}=; {known}")
+        if k in given:
+            raise UsageError(f"{name}: repeated parameter {k}=; {known}")
+        given[k] = v
+    values = {}
+    for k, ((pattern, read), default) in keys.items():
+        text = given.get(k, default)
+        if text is ...:
+            raise UsageError(f"{name}: missing parameter {k}=; {known}")
+        if text is not None and not re.fullmatch(pattern, text, re.DOTALL):
+            raise UsageError(f"{name}: {k}={text!r} does not match {pattern}; {known}")
+        values[k] = text if text is None else read(text)
+    return build(**values), kind
 
 
 def cmd_construct(args) -> int:
-    params = {}
-    for piece in args.params:
-        k, sep, v = piece.partition("=")
-        if not sep:
-            raise UsageError(f"parameters look like key=value, got {piece!r}")
-        params[k] = v
-    obj, kind = _construct(args.name, params)
+    obj, kind = _build(args.name, args.params)
     # the constructors gate their outputs, so these return the carried verdict
     if kind == "validation":
         full, pair, shared = obj
@@ -305,10 +307,7 @@ def cmd_lhd(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        entry = cat.catalog_get(args.name)
-    except KeyError as e:
-        raise UsageError(str(e)) from None
+    entry = _entry(args.name)
     kind = "noa" if isinstance(entry.payload, NestedPair) else None
     save_bundle(args.out, entry.payload, kind)
     print(f"{args.name} -> {args.out}.csv ({entry.provenance})")
@@ -320,10 +319,7 @@ def cmd_catalog(args) -> int:
         for name in cat.catalog_names():
             print(name)
         return 0
-    try:
-        entry = cat.catalog_get(args.name)
-    except KeyError as e:
-        raise UsageError(str(e)) from None
+    entry = _entry(args.name)
     payload = entry.payload
     arr = payload.parent if isinstance(payload, NestedPair) else payload
     print(f"{entry.name}: {arr.n_rows} x {arr.n_cols} ({entry.provenance})")
@@ -359,7 +355,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     c = sub.add_parser("construct", help="run a named construction and write CSV + JSON")
-    c.add_argument("name", choices=CONSTRUCTION_NAMES)
+    c.add_argument("name", choices=CONSTRUCTIONS)
     c.add_argument("params", nargs="*", help="key=value construction parameters")
     c.add_argument("--out", required=True, help="output path prefix")
     c.set_defaults(func=cmd_construct)

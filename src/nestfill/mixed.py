@@ -97,10 +97,11 @@ def ww_from_noas(
     blocks = [(tuple(cols), dm) for cols, dm in blocks]
     _validate_blocks(noa.parent, blocks)
     _check_distinct_primes([noa.parent.groups[cols[0]].order for cols, _ in blocks])
+    for _, dm in blocks:
+        require(dm, "dm", "ww_from_noas: block difference matrix")
     b = blocks[0][1].n_rows
     crossed = []
     for cols, dm in blocks:
-        require(dm, "dm", "ww_from_noas: block difference matrix")
         projections = tuple(noa.projections[c] for c in cols for _ in range(dm.n_cols))
         crossed.append((subcols(noa.parent, cols), dm, projections))
     if include_b:  # a zero column crossed with Z_b lists r in row i*b + r
@@ -140,11 +141,12 @@ def ww_from_ndms(
     blocks = [(tuple(cols), ndm) for cols, ndm in blocks]
     _validate_blocks(a, blocks)
     _check_distinct_primes([a.groups[cols[0]].order for cols, _ in blocks])
+    for _, ndm in blocks:
+        require(ndm, "ndm", "ww_from_ndms: input nested pair")
     b1 = blocks[0][1].parent.n_rows
     b2 = blocks[0][1].child_size
     crossed = []
     for cols, ndm in blocks:
-        require(ndm, "ndm", "ww_from_ndms: input nested pair")
         if (ndm.parent.n_rows, ndm.child_size) != (b1, b2):
             raise ValueError("all nested difference matrices must share (b1, b2)")
         crossed.append((subcols(a, cols), _child_first(ndm), ndm.projections * len(cols)))

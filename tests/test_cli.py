@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nestfill
+from nestfill import cli
 from nestfill.cli import main
 
 SRC = os.path.dirname(os.path.dirname(nestfill.__file__))
@@ -392,8 +394,14 @@ def test_damaged_bundle_exit_codes(noa_bundle, data, which):
 
 @pytest.mark.parametrize(
     "plan",
-    [{"blocks": []}, [1, 2], {"parent": "ex12_noa", "blocks": [{"cols": [0]}, {"cols": [1], "ref": "d_12_6_6"}]}],
-    ids=["no-parent", "not-an-object", "block-without-ref"],
+    [
+        {"blocks": []},
+        [1, 2],
+        {"parent": "ex12_noa", "blocks": [{"cols": [0]}, {"cols": [1], "ref": "d_12_6_6"}]},
+        {"parent": "ex12_noa", "blocks": [{"cols": [0], "ref": "d_12_6_6"}, {"cols": [1], "ref": "seberry_12_12_4"}],
+         "b": "no"},
+    ],
+    ids=["no-parent", "not-an-object", "block-without-ref", "non-boolean-b"],
 )
 @pytest.mark.parametrize("verb", ["thm7", "thm8"])
 def test_malformed_plan_exit_4(tmp_path, capsys, plan, verb):
@@ -401,6 +409,23 @@ def test_malformed_plan_exit_4(tmp_path, capsys, plan, verb):
     capsys.readouterr()
     assert run("construct", verb, f"plan={tmp_path / 'plan.json'}", "--out", str(tmp_path / "x")) == 4
     assert capsys.readouterr().err.startswith("error: malformed plan file")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "verb, plan",
+    [
+        ("thm7", {"parent": "ex12_noa", "blocks": [{"cols": [0], "ref": "ex11_ndm"}, {"cols": [1], "ref": "seberry_12_12_4"}]}),
+        ("thm8", {"parent": "trivial:s=2", "blocks": [{"cols": [0], "ref": "multtable:s=2"}]}),
+    ],
+    ids=["thm7-first-block-nested", "thm8-block-not-nested"],
+)
+def test_plan_block_of_the_wrong_kind_exit_2(tmp_path, capsys, verb, plan):
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert run("construct", verb, f"plan={tmp_path / 'plan.json'}", "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and " needs a " in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -417,6 +442,8 @@ WRONG_KIND_REFS = [
     ["lemma7", "d1=qtw:s1=8,s2=4"],
     ["thm9", "d1=theorem1:m=2"],
     ["validation", "a=theorem1:m=2"],
+    ["thm9", "d1=d_12_6_6"],
+    ["thm9", "d1=seberry_12_12_4"],
 ]
 
 
@@ -439,3 +466,115 @@ def test_non_integral_child_rows_exit_4(tmp_path, capsys):
     assert run("verify", "ndm", prefix) == 4
     captured = capsys.readouterr()
     assert "non-integral child row index" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["export", "nosuch", "--out", "x"], ["catalog", "show", "nosuch"], ["construct", "theorem4", "a=nosuch", "--out", "x"]],
+    ids=["export", "catalog-show", "construct-reference"],
+)
+def test_unknown_catalog_entry_message_is_not_quoted(capsys, argv):
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: unknown catalog entry")
+
+
+# ---------------------------------------------------------------------------
+# the construction table: one grammar for the command line and references
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["theorem1", "m=2", "q=5"], "theorem1: unknown parameter q=; known keys of theorem1: m"),
+        (["theorem1", "m=2", "m=3"], "theorem1: repeated parameter m="),
+        (["thm7", "b=-1"], "thm7: b='-1' does not match [01]; known keys of thm7: plan, b"),
+        (["theorem4", "a=raohamming:s=8,k=2,zz=1", "ndm=theorem1:m=2"], "raohamming: unknown parameter zz="),
+        (["theorem1", "m= 2"], "m=' 2' does not match"),
+        (["theorem1", "m=+2"], "m='+2' does not match"),
+        (["theorem1", "m=1_0"], "m='1_0' does not match"),
+        (["theorem4", "a=validation:m=2"], "validation builds an array and a nested pair"),
+    ],
+    ids=["unknown-key", "repeated-key", "flag-out-of-range", "unknown-key-in-reference",
+         "space-in-integer", "signed-integer", "underscore-in-integer", "validation-as-reference"],
+)
+def test_grammar_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, says):
+    capsys.readouterr()
+    assert run("construct", *argv, "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_lists_every_key_of_every_construction():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    para = readme[readme.index("Construction names:"):readme.index("Block plans")]
+    listed = {}  # each code span there that starts with table names: its keys
+    for span in re.findall(r"`([^`]*)`", para):
+        names = span.split()[0].split("|")
+        if set(names) <= set(cli.CONSTRUCTIONS):
+            for name in names:
+                listed.setdefault(name, set()).update(re.findall(r"(\w+)=", span))
+    assert set(listed) == set(cli.CONSTRUCTIONS)
+    for name, (_kind, keys, _build) in cli.CONSTRUCTIONS.items():
+        assert listed[name] == set(keys), name
+
+
+# integers stay in -1..3, so that every drawn construction is small
+INTEGERS = st.one_of(st.sampled_from(["2", "3"]), st.integers(-1, 3).map(str))
+MALFORMED = st.sampled_from(["", " 2", "+2", "1_0", "2.0", "0x2", "\u0663", "x"])
+TEXTS = st.sampled_from(["a8cols", "b16cols", "gf27_to_gf9", "gf81_to_gf27", "zz", "missing_plan.json"])
+CATALOG_REFS = st.sampled_from(["ex11_ndm", "ex12_noa", "d_12_6_6", "seberry_12_12_4", "ex10_a2", "nosuch"])
+
+
+def _pieces(name, depth):
+    """``key=value`` pieces for ``name``: its required keys (mostly) and
+    some optional ones with values of their type (integers mostly well
+    formed, references ``depth`` deep), then perhaps one more piece: a
+    repeated or unknown key, a value of another type or no ``=``."""
+    keys = cli.CONSTRUCTIONS[name][1]
+    required = [k for k, (_type, default) in keys.items() if default is ...]
+    optional = st.lists(st.sampled_from([k for k in keys if k not in required] or ["zz"]), unique=True)
+
+    def piece(k):
+        kind = keys[k][0] if k in keys else None
+        values = _refs(depth) if kind is cli.REF else TEXTS if kind is cli.TEXT else INTEGERS
+        return st.one_of(values, values, values, MALFORMED, TEXTS).map(lambda v: f"{k}={v}")
+
+    # one draw in four leaves out the first required key
+    chosen = st.tuples(st.integers(0, 3), optional).flatmap(
+        lambda t: st.tuples(*map(piece, (required if t[0] else required[1:]) + t[1]))
+    )
+    extra = st.one_of(st.sampled_from([*keys, "zz"]).flatmap(piece), st.sampled_from(["", "m", "=2"]))
+    return st.tuples(chosen, st.one_of(st.just([]), st.just([]), extra.map(lambda p: [p]))).map(
+        lambda t: [*t[0], *t[1]]
+    )
+
+
+def _refs(depth):
+    if depth == 0:
+        return CATALOG_REFS
+    inline = st.sampled_from([*cli.CONSTRUCTIONS, "nosuch"]).flatmap(
+        lambda name: _pieces(name if name in cli.CONSTRUCTIONS else "theorem1", depth - 1).map(
+            lambda ps: f"{name}:{','.join(ps)}"
+        )
+    )
+    return st.one_of(CATALOG_REFS, inline)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(cli.CONSTRUCTIONS)))
+def test_drawn_construct_calls_exit_0_2_3_or_4(data, name):
+    pieces = data.draw(_pieces(name, 1))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        cwd = os.getcwd()
+        os.chdir(d)  # a drawn relative plan path stays inside the directory
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run("construct", name, *pieces, "--out", os.path.join(d, "x"))
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4), (pieces, err.getvalue())
+    assert "Traceback" not in err.getvalue()
