@@ -16,7 +16,9 @@ Representation conventions, used everywhere in the package:
   element ``a_0 + a_1 x + ...`` sits at position ``sum(a_i * p**i)``, a
   residue at its own value, and a product element at the mixed-radix position
   with the last component varying fastest.  The position of an element in
-  this order is its *index*, which is what array types store.
+  this order is its *index*, which is what array types store.  ``_grid``,
+  the digits of every index over a tuple of orders, is the one place where
+  these positions are laid out; ``np.ravel_multi_index`` is the way back.
 
 Index tables are the single arithmetic core.  ``add_table``, ``neg_table``,
 ``sub_table`` and, for fields, ``mul_table`` are cached read-only arrays
@@ -33,6 +35,7 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -111,6 +114,21 @@ def digits(value, p: int, width: int) -> tuple:
         out.append(value % p)
         value = value // p
     return tuple(out)
+
+
+def _grid(orders: Sequence[int]) -> np.ndarray:
+    """Row ``i`` holds the digits of index ``i`` over ``orders``, last column
+    fastest: every element of a product alphabet, or every run of a full
+    factorial, in index order.  ``np.ravel_multi_index`` is the inverse."""
+    orders = tuple(orders)
+    return np.stack(np.unravel_index(np.arange(math.prod(orders)), orders), axis=1)
+
+
+def _vectors(size: int, k: int) -> np.ndarray:
+    """All of ``range(size)^k`` by index, one row each, first coordinate
+    fastest; for ``size = p`` and ``k = u``, the coefficient vectors of
+    GF(p^u) by element index."""
+    return _grid((size,) * k)[:, ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +276,13 @@ class Field:
     irreducible: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if prime_power(self.p) != (self.p, 1):
-            raise ValueError(f"characteristic {self.p} is not prime")
         if self.u < 1:
             raise ValueError(f"extension degree must be >= 1, got {self.u}")
-        if self.p**self.u > MAX_FIELD_ORDER:
-            raise ValueError(
-                f"field order {self.p}^{self.u} exceeds the supported maximum "
-                f"{MAX_FIELD_ORDER}"
-            )
+        # bound the order before p is factored or raised to a large power u
+        if self.p >= 2 and (self.u >= MAX_FIELD_ORDER.bit_length() or self.p**self.u > MAX_FIELD_ORDER):
+            raise ValueError(f"field order {self.p}^{self.u} exceeds the supported maximum {MAX_FIELD_ORDER}")
+        if prime_power(self.p) != (self.p, 1):
+            raise ValueError(f"characteristic {self.p} is not prime")
         poly = tuple(int(c) % self.p for c in self.irreducible)
         object.__setattr__(self, "irreducible", poly)
         if len(poly) != self.u + 1 or poly[-1] != 1:
@@ -524,10 +540,7 @@ class ProductGroup(Group):
 
     @property
     def order(self) -> int:
-        n = 1
-        for g in self.components:
-            n *= g.order
-        return n
+        return math.prod(g.order for g in self.components)
 
     def element(self, index: int) -> tuple:
         if not 0 <= index < self.order:
@@ -615,27 +628,17 @@ def add_table(g: Group) -> np.ndarray:
     elif isinstance(g, GaloisGroup):
         p = g.field.p
         tab = np.zeros((n, n), dtype=np.int64)
-        for k, dig in enumerate(digits(np.arange(n), p, g.field.u)):
+        for k, dig in enumerate(_vectors(p, g.field.u).T):
             tab += ((dig[:, None] + dig[None, :]) % p) * p**k
     elif isinstance(g, ProductGroup):
-        tab = np.zeros((n, n), dtype=np.int64)
-        radix = 1
-        for comp in reversed(g.components):
-            i = np.arange(n)
-            dig = (i // radix) % comp.order
-            sub = add_table(comp)
-            tab += sub[dig[:, None], dig[None, :]] * radix
-            radix *= comp.order
+        orders = [c.order for c in g.components]
+        sums = [add_table(c)[d][:, d] for c, d in zip(g.components, _grid(orders).T)]
+        tab = np.ravel_multi_index(sums, orders)
     else:  # pragma: no cover - new alphabet kinds must extend this table
         raise TypeError(f"unknown group kind {type(g).__name__}")
     tab = tab.astype(np.int64)
     tab.setflags(write=False)
     return tab
-
-
-def _element_digits(f: Field) -> np.ndarray:
-    """(order, u) coefficient matrix of all elements of ``f``, by index."""
-    return np.stack(digits(np.arange(f.order, dtype=np.int32), f.p, f.u), axis=1)
 
 
 def _powers_mod(f: Field, count: int) -> np.ndarray:
@@ -650,7 +653,7 @@ def _to_index(coeffs: np.ndarray, p: int) -> np.ndarray:
 
 def _scale_table(f: Field) -> np.ndarray:
     """(p, order) indices of the multiples ``c * e``, c in Z_p, e in ``f``."""
-    return _to_index(np.arange(f.p, dtype=np.int32)[:, None, None] * _element_digits(f), f.p)
+    return _to_index(np.arange(f.p, dtype=np.int32)[:, None, None] * _vectors(f.p, f.u), f.p)
 
 
 @lru_cache(maxsize=None)
@@ -659,7 +662,7 @@ def mul_table(f: Field) -> np.ndarray:
     array.  ``a * b`` is built as ``sum a_i (x^i b)``, with every ``x^i b``
     found by repeated multiplication by x, and checked over every pair
     against products assembled from the reductions of x^k."""
-    dig = _element_digits(f)
+    dig = _vectors(f.p, f.u)
     add, scale = add_table(GaloisGroup(f)), _scale_table(f)
     low = np.asarray(f.irreducible[:-1], dtype=np.int32)
     tab = np.zeros((f.order, f.order), dtype=np.int64)
@@ -675,7 +678,7 @@ def mul_table(f: Field) -> np.ndarray:
 
 def _check_mul_table(f: Field, tab: np.ndarray) -> None:
     """Raise unless ``tab[a, b]`` is ``sum a_i b_j (x^(i+j) mod f)`` for all a, b."""
-    dig = _element_digits(f)
+    dig = _vectors(f.p, f.u)
     add, scale = add_table(GaloisGroup(f)), _scale_table(f)
     xk = _to_index(_powers_mod(f, 2 * f.u - 1), f.p)
     ref = np.zeros_like(tab)
@@ -792,7 +795,7 @@ def modulus(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Project
         raise ValueError("modulus requires matching characteristics")
     if f2.u > f1.u:
         raise ValueError("modulus target must not be larger than the source")
-    table = _to_index(_element_digits(f1) @ _powers_mod(f2, f1.u), f1.p)
+    table = _to_index(_vectors(f1.p, f1.u) @ _powers_mod(f2, f1.u), f1.p)
     return _validated("modulus", GaloisGroup(f1), GaloisGroup(f2), table, detail=(f2.irreducible,))
 
 
@@ -812,9 +815,8 @@ def component(source: ProductGroup, which: int) -> Projection:
     """Select one component of a product alphabet, e.g. digit dropping."""
     if not 0 <= which < len(source.components):
         raise ValueError(f"component index {which} out of range")
-    tgt = source.components[which]
-    table = [tgt.index(source.element(i)[which]) for i in range(source.order)]
-    return _validated("component", source, tgt, table, detail=(which,))
+    table = _grid([g.order for g in source.components])[:, which]
+    return _validated("component", source, source.components[which], table, detail=(which,))
 
 
 def product_projection(parts: Sequence[Projection]) -> Projection:
@@ -824,10 +826,9 @@ def product_projection(parts: Sequence[Projection]) -> Projection:
         raise ValueError("a product projection needs at least two parts")
     src = ProductGroup(tuple(p.source for p in parts))
     tgt = ProductGroup(tuple(p.target for p in parts))
-    table = []
-    for i in range(src.order):
-        e = src.element(i)
-        table.append(tgt.index(tuple(project(p, x) for p, x in zip(parts, e))))
+    dig = _grid([p.source.order for p in parts])
+    images = [p.np_table()[dig[:, k]] for k, p in enumerate(parts)]
+    table = np.ravel_multi_index(images, [p.target.order for p in parts])
     return _validated("product", src, tgt, table, detail=parts)
 
 

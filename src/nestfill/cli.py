@@ -18,6 +18,7 @@ import numpy as np
 
 from . import catalog as cat
 from .algebra import (
+    MAX_FIELD_ORDER,
     GaloisGroup,
     ResidueGroup,
     field_make,
@@ -67,7 +68,9 @@ class IoFailed(Exception):
 
 
 def _order(text: str):
-    """The Galois field of a prime-power order."""
+    """The Galois field of a prime-power order; too large an order is refused unfactored."""
+    if int(text) > MAX_FIELD_ORDER:
+        raise UsageError(f"field order {text} exceeds the supported maximum {MAX_FIELD_ORDER}")
     pp = prime_power(int(text))
     if pp is None:
         raise UsageError(f"{text} is not a prime power")

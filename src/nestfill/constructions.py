@@ -39,8 +39,9 @@ from .algebra import (
     Group,
     Projection,
     ResidueGroup,
+    _grid,
+    _vectors,
     add_table,
-    digits,
     field_make,
     modulus,
     mul_table,
@@ -143,8 +144,7 @@ def trivial_oa(group: Group) -> LevelArray:
 def full_factorial(groups: Sequence[Group]) -> LevelArray:
     """All level combinations, first column varying slowest."""
     groups = tuple(groups)
-    grids = np.meshgrid(*[np.arange(g.order) for g in groups], indexing="ij")
-    return LevelArray(groups, _Owned(np.column_stack([g.ravel() for g in grids])))
+    return LevelArray(groups, _Owned(_grid([g.order for g in groups])))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +291,6 @@ def ndm_p3(instance: str) -> NestedPair:
 # ---------------------------------------------------------------------------
 
 
-def _vectors(size: int, k: int) -> np.ndarray:
-    """All of ``range(size)^k`` by enumeration position, one row each; the
-    first coordinate varies fastest."""
-    return np.stack(digits(np.arange(size**k), size, k), axis=1)
-
-
 def _canonical_directions(size: int, k: int) -> np.ndarray:
     """Vectors whose last nonzero coordinate is the element of index 1,
     enumerated first-coordinate-fastest.  There are (size^k - 1)/(size - 1)."""
@@ -430,8 +424,9 @@ def zero_sum_noa(s1: int, s2: int) -> NestedPair:
     if s2 < 1 or s1 % s2:
         raise ValueError(f"s2 must divide s1; got s1={s1}, s2={s2}")
     g = ResidueGroup(s1)
-    parent = LevelArray((g,) * 3, [(i, j, (-(i + j)) % s1) for i in range(s1) for j in range(s1)])
-    child_rows = tuple(i * s1 + j for i in range(s2) for j in range(s2))
+    ij = _grid((s1, s1))
+    parent = LevelArray((g,) * 3, _Owned(np.column_stack([ij, -ij.sum(axis=1) % s1])))
+    child_rows = tuple(np.flatnonzero((ij < s2).all(axis=1)))
     proj = residue(g, s2)
     pair = NestedPair(parent, child_rows, (proj,) * 3)
     require(pair, "noa", f"zero_sum_noa({s1}, {s2})")
@@ -500,12 +495,9 @@ def search_nested_rows(
     the same counting verifier as everything else, and makes the number of
     candidates examined visible to a tracer that counts ``check_dm`` calls
     (the benchmark proves this way that all 1820 subsets of the 16-row GF(16)
-    table were tried).  A candidate of that search costs about 24 us,
-    against about 54 us when each went through ``subrows`` (medians over
-    ten alternating processes; 2-vCPU Xeon, Python 3.11, numpy 2.4).
-    Counting many candidates in one batched ``bincount`` would be cheaper
-    still; it waits until the benchmark reads an examined-candidate count
-    instead of counting these calls.
+    table were tried).  Counting many candidates in one batched ``bincount``
+    would be cheaper; it waits until the benchmark reads an
+    examined-candidate count instead of counting these calls.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")

@@ -30,6 +30,7 @@ from .algebra import (
     Projection,
     ProductGroup,
     ResidueGroup,
+    _grid,
     component,
     identity_projection,
     prime_power,
@@ -179,9 +180,8 @@ def mixed_dm_lemma7(d1: LevelArray, d2: LevelArray, c0: int) -> LevelArray:
     g1, g2 = d1.uniform_group(), d2.uniform_group()
     paired = ProductGroup((g1, g2))
     b1, b2 = d1.n_rows, d2.n_rows
-    i_idx = np.repeat(np.arange(b1), b2)
-    j_idx = np.tile(np.arange(b2), b1)
-    pair_block = d1.data[i_idx, :c0] * g2.order + d2.data[j_idx, :c0]
+    i_idx, j_idx = _grid((b1, b2)).T
+    pair_block = np.ravel_multi_index((d1.data[i_idx, :c0], d2.data[j_idx, :c0]), (g1.order, g2.order))
     data = np.hstack([pair_block, d1.data[i_idx, c0:], d2.data[j_idx, c0:]])
     groups = (paired,) * c0 + (g1,) * (c1 - c0) + (g2,) * (c2 - c0)
     out = LevelArray(groups, _Owned(data))
@@ -236,20 +236,18 @@ def noa_theorem9(
     if delta1.source != g1 or delta2.source != g2:
         raise ValueError("projection sources must match the two component alphabets")
     delta0 = product_projection([delta1, delta2])
-    paired = ProductGroup((g1, g2))
-    s11, s21 = g1.order, g2.order
-    s12, s22 = delta1.target.order, delta2.target.order
     if child_rows is None:
         child_rows = range(d.n_rows)
 
-    c_pairs = trivial_oa(paired)
-    c_first = LevelArray((g1,), (np.arange(s11 * s21) // s21)[:, None])
-    c_second = LevelArray((g2,), (np.arange(s11 * s21) % s21)[:, None])
+    grid = _grid((g1.order, g2.order))
+    c_pairs = trivial_oa(delta0.source)
+    c_first = LevelArray((g1,), grid[:, :1])
+    c_second = LevelArray((g2,), grid[:, 1:])
     spans = [
         (c_pairs, range(k0), delta0),
         (c_first, range(k0, k0 + k1), delta1),
         (c_second, range(k0 + k1, k0 + k1 + k2), delta2),
     ]
     blocks = [(c, subcols(d, cols), (delta,) * len(cols)) for c, cols, delta in spans if len(cols)]
-    c2_rows = [i1 * s21 + i2 for i1 in range(s12) for i2 in range(s22)]
+    c2_rows = np.flatnonzero((grid < (delta1.target.order, delta2.target.order)).all(axis=1))
     return _crossed(blocks, c2_rows, child_rows, "noa_theorem9")

@@ -1,16 +1,20 @@
 """Field arithmetic, group alphabets, and projection properties."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nestfill.algebra import (
     Field,
     GaloisGroup,
     ProductGroup,
     ResidueGroup,
+    _vectors,
     add_table,
     component,
+    digits,
     field_make,
     gf_add,
     gf_mul,
@@ -25,6 +29,7 @@ from nestfill.algebra import (
     rho,
     truncation,
 )
+from nestfill.constructions import full_factorial
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +70,17 @@ def test_reducible_rejection_agrees_with_sympy():
 def test_non_prime_characteristic_rejected():
     with pytest.raises(ValueError, match="not prime"):
         field_make(4, 1, "x+1")
+    with pytest.raises(ValueError, match="not prime"):
+        Field(1, 10**12, (1, 1))
 
 
 def test_field_order_cap():
     with pytest.raises(ValueError, match="maximum"):
         field_make(2, 9, [1, 1] + [0] * 7 + [1])
+    with pytest.raises(ValueError, match="maximum"):
+        Field(257, 1, (1, 1))
+    with pytest.raises(ValueError, match="maximum"):
+        Field(2, 10**9, (1, 1))  # refused before 2**(10**9) is computed
 
 
 def test_non_monic_rejected():
@@ -306,3 +317,47 @@ def test_projection_table_is_built_once_and_read_only(gf8):
     assert tab is p.np_table()
     assert not tab.flags.writeable
     assert tab.tolist() == list(p.table)
+
+
+# ---------------------------------------------------------------------------
+# index layout: the table path against the scalar element path
+# ---------------------------------------------------------------------------
+
+# each small alphabet with the projections out of it
+SMALL = [
+    (GaloisGroup(field_make(2, 1)), []),
+    (GaloisGroup(field_make(3, 1)), []),
+    (GaloisGroup(field_make(2, 2)), [lambda g: truncation(g, field_make(2, 1)), lambda g: modulus(g, field_make(2, 1))]),
+    (ResidueGroup(1), []),
+    (ResidueGroup(2), []),
+    (ResidueGroup(4), [lambda g: residue(g, 2)]),
+    (ResidueGroup(6), [lambda g: residue(g, 3), lambda g: residue(g, 2)]),
+]
+
+
+@st.composite
+def small_products(draw):
+    picks = draw(st.lists(st.sampled_from(SMALL), min_size=2, max_size=3).filter(
+        lambda ps: np.prod([g.order for g, _ in ps]) <= 48))
+    parts = [draw(st.sampled_from([identity_projection] + makes))(g) for g, makes in picks]
+    return ProductGroup(tuple(g for g, _ in picks)), parts
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_products())
+def test_product_tables_match_element_path(drawn):
+    pg, parts = drawn
+    elems = [pg.element(i) for i in range(pg.order)]
+    assert add_table(pg).tolist() == [[pg.index(pg.add(a, b)) for b in elems] for a in elems]
+    for which, g in enumerate(pg.components):
+        assert list(component(pg, which).table) == [g.index(e[which]) for e in elems]
+    proj = product_projection(parts)
+    assert list(proj.table) == [proj.target.index(tuple(project(p, x) for p, x in zip(parts, e))) for e in elems]
+    ff = full_factorial(pg.components)
+    assert ff.data.tolist() == [list(t) for t in itertools.product(*[range(g.order) for g in pg.components])]
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 1)])
+def test_vectors_are_digits_by_index(p, k):
+    v = _vectors(p, k)
+    assert v.tolist() == [list(digits(i, p, k)) for i in range(p**k)]

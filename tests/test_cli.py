@@ -222,16 +222,43 @@ def test_verify_non_text_row_label_exit_4(tmp_path, capsys, label):
     assert capsys.readouterr().err.startswith("error: malformed bundle")
 
 
+def _process(*argv, timeout=None):
+    """``nestfill.cli`` run as a process; a run past ``timeout`` seconds
+    raises ``subprocess.TimeoutExpired``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "nestfill.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 def test_verify_malformed_bundle_subprocess_has_no_traceback(tmp_path):
     prefix = _bundle(tmp_path)
     (tmp_path / "b.json").write_text("[]")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nestfill.cli", "verify", "ndm", prefix],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _process("verify", "ndm", prefix)
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
+
+
+BIG_PRIME = 1000000000000000003
+
+
+def test_huge_field_order_refused_before_factoring(tmp_path):
+    # factoring an order this large takes about 10^9 trial divisions
+    proc = _process("construct", "trivial", f"s={BIG_PRIME}", "--out", str(tmp_path / "x"), timeout=5)
+    assert proc.returncode == 2 and "maximum" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("fields", [{"p": BIG_PRIME, "u": 1}, {"p": BIG_PRIME, "u": 10**12}, {"u": 10**9}])
+def test_huge_sidecar_field_refused_before_factoring(tmp_path, fields):
+    prefix = _bundle(tmp_path)
+    meta = json.loads((tmp_path / "b.json").read_text())
+    for column in meta["columns"]:
+        column.update(fields)
+    (tmp_path / "b.json").write_text(json.dumps(meta))
+    proc = _process("info", prefix, timeout=5)
+    assert proc.returncode == 4 and "maximum" in proc.stderr
 
 
 @pytest.mark.parametrize("s", ["6", "1", "0"])
