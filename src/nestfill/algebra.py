@@ -660,8 +660,10 @@ def _scale_table(f: Field) -> np.ndarray:
 def mul_table(f: Field) -> np.ndarray:
     """Index-level multiplication table of ``f`` as a read-only (order, order)
     array.  ``a * b`` is built as ``sum a_i (x^i b)``, with every ``x^i b``
-    found by repeated multiplication by x, and checked over every pair
-    against products assembled from the reductions of x^k."""
+    found by repeated multiplication by x (shift up, subtract the defining
+    polynomial), and checked over every pair by ``_check_mul_table``.  The
+    build costs u passes, each two order x order gathers; the check about
+    the same again."""
     dig = _vectors(f.p, f.u)
     add, scale = add_table(GaloisGroup(f)), _scale_table(f)
     low = np.asarray(f.irreducible[:-1], dtype=np.int32)
@@ -670,21 +672,28 @@ def mul_table(f: Field) -> np.ndarray:
     for i in range(f.u):
         tab = add[tab, scale[dig[:, i, None], _to_index(xb, f.p)]]
         # times x: shift up, then replace x^u by x^u - f
-        xb = (np.pad(xb[:, :-1], ((0, 0), (1, 0))) - xb[:, -1:] * low) % f.p
+        xb_next = -xb[:, -1:] * low
+        xb_next[:, 1:] += xb[:, :-1]
+        xb = xb_next % f.p
     _check_mul_table(f, tab)
     tab.setflags(write=False)
     return tab
 
 
 def _check_mul_table(f: Field, tab: np.ndarray) -> None:
-    """Raise unless ``tab[a, b]`` is ``sum a_i b_j (x^(i+j) mod f)`` for all a, b."""
+    """Raise unless ``tab[a, b]`` is ``sum a_i b_j (x^(i+j) mod f)`` for all a, b.
+
+    The reference does not share the build's shift-and-reduce route: each
+    ``x^i b`` is ``sum_j b_j (x^(i+j) mod f)``, one (order x u) @ (u x u)
+    product over the scalar reductions of x^k (``_powers_mod``).  It costs
+    u passes, each two order x order gathers, and compares every cell."""
     dig = _vectors(f.p, f.u)
     add, scale = add_table(GaloisGroup(f)), _scale_table(f)
-    xk = _to_index(_powers_mod(f, 2 * f.u - 1), f.p)
+    xk = _powers_mod(f, 2 * f.u - 1)
     ref = np.zeros_like(tab)
     for i in range(f.u):
-        for j in range(f.u):
-            ref = add[ref, scale[dig[:, i, None] * dig[:, j] % f.p, xk[i + j]]]
+        xib = _to_index(dig @ xk[i : i + f.u], f.p)  # x^i * b, one entry per b
+        ref = add[ref, scale[dig[:, i, None], xib]]
     bad = np.argwhere(tab != ref)
     if bad.size:
         a, b = bad[0]

@@ -459,7 +459,11 @@ def validation_pair(
     require(full, "oa", "validation_pair: full parent")
     shared = tuple(j * s1 + t for j in range(a.n_cols) for t in range(4))
     r = _labels(f, m - 2)
-    d2_rows = np.union1d(r, _shift(f, _offsets_sum(f, [m, m - 1]), r))
+    # r and its shift, sorted: a row mask, as np.union1d would import numpy.ma
+    in_d2 = np.zeros(f.order, dtype=bool)
+    in_d2[r] = True
+    in_d2[_shift(f, _offsets_sum(f, [m, m - 1]), r)] = True
+    d2_rows = np.flatnonzero(in_d2)
     proj = truncation(f, field_make(2, m))
     # A (+) (the r_1 columns of D0) is subcols(full, shared) cell for cell
     block = (a, subcols(d0, range(4)), (proj,) * len(shared))

@@ -120,7 +120,10 @@ def _child_first(ndm: NestedPair) -> LevelArray:
     nothing checkable; it aligns the child row positions across blocks and
     makes the child run-index values literally 0..b2-1.
     """
-    rest = np.setdiff1d(np.arange(ndm.parent.n_rows), ndm.child_rows)
+    # a row mask, as np.setdiff1d would import numpy.ma
+    in_rest = np.ones(ndm.parent.n_rows, dtype=bool)
+    in_rest[list(ndm.child_rows)] = False
+    rest = np.flatnonzero(in_rest)
     return subrows(ndm.parent, list(ndm.child_rows) + rest.tolist())
 
 

@@ -1,6 +1,9 @@
 """Construction families: published fixtures, checker gates, properties."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import randomize_array
 
+import nestfill
 from nestfill import arrays, constructions
 from nestfill.algebra import (
     GaloisGroup,
@@ -375,6 +379,28 @@ def test_validation_pair_m2(gf8):
 def test_validation_pair_child_is_submatrix(gf8):
     full, pair, shared = validation_pair(2, trivial_oa(GaloisGroup(gf8)))
     assert np.array_equal(pair.parent.data, subcols(full, shared).data)
+
+
+_NO_MASKED_ARRAYS = """
+import sys
+import nestfill as nf
+g2, g8 = nf.GaloisGroup(nf.field_make(2, 1)), nf.GaloisGroup(nf.field_make(2, 3))
+z2_ndm = nf.NestedPair(nf.LevelArray((g2,) * 2, [[0, 0], [0, 1]] * 6), tuple(range(6)),
+                       (nf.identity_projection(g2),) * 2)
+nf.validation_pair(2, nf.trivial_oa(g8))
+nf.ww_from_ndms(nf.full_factorial((nf.ResidueGroup(6), g2)),
+                [((0,), nf.catalog_get("ex11_ndm").payload), ((1,), z2_ndm)])
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_row_sets_do_not_import_masked_arrays_in_a_fresh_process():
+    # np.union1d and np.setdiff1d go through np.unique, whose first call
+    # imports numpy.ma (about 13 ms of a fresh process)
+    src = os.path.dirname(os.path.dirname(nestfill.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_crossed_rejects_rows_outside_either_factor():

@@ -121,6 +121,38 @@ def test_mul_table_check_rejects_a_wrong_entry(gf9):
         _check_mul_table(gf9, bad)
 
 
+@pytest.mark.parametrize("p,u", [(2, 2), (2, 3), (3, 2)])
+def test_mul_table_check_rejects_every_one_cell_mutation(p, u):
+    f = field_make(p, u)
+    good = mul_table(f)
+    _check_mul_table(f, good)
+    for a in range(f.order):
+        for b in range(f.order):
+            for wrong in range(f.order):
+                if wrong == good[a, b]:
+                    continue
+                bad = good.copy()
+                bad[a, b] = wrong
+                with pytest.raises(RuntimeError) as err:
+                    _check_mul_table(f, bad)
+                assert str(err.value).endswith(f"at indices ({a}, {b}): {wrong} instead of {good[a, b]}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 2), (2, 5)]), st.data())
+def test_mul_table_check_names_the_first_bad_cell(pu, data):
+    f = field_make(*pu)
+    good = mul_table(f)
+    cell = st.tuples(st.integers(0, f.order - 1), st.integers(0, f.order - 1))
+    cells = data.draw(st.lists(cell, min_size=2, max_size=2, unique=True))
+    bad = good.copy()
+    for a, b in cells:
+        bad[a, b] = (good[a, b] + data.draw(st.integers(1, f.order - 1))) % f.order
+    a, b = min(cells)  # np.argwhere order: row-major
+    with pytest.raises(RuntimeError, match=rf"GF\({f.order}\).*\({a}, {b}\): {bad[a, b]} instead of {good[a, b]}$"):
+        _check_mul_table(f, bad)
+
+
 def test_mul_table_agrees_with_scalar_view(gf9):
     tab = mul_table(gf9)
     for a in range(gf9.order):
