@@ -16,7 +16,9 @@ Representation conventions, used everywhere in the package:
   element ``a_0 + a_1 x + ...`` sits at position ``sum(a_i * p**i)``, a
   residue at its own value, and a product element at the mixed-radix position
   with the last component varying fastest.  The position of an element in
-  this order is its *index*, which is what array types store.  ``_grid``,
+  this order is its *index*, which is what array types store, as
+  ``INDEX_DTYPE`` (int32).  An alphabet therefore has at most ``MAX_ORDER``
+  (2^31 - 1) elements, and the alphabets refuse a larger order.  ``_grid``,
   the digits of every index over a tuple of orders, is the one place where
   these positions are laid out; ``np.ravel_multi_index`` is the way back.
 
@@ -45,6 +47,8 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 __all__ = [
+    "INDEX_DTYPE",
+    "MAX_ORDER",
     "MAX_FIELD_ORDER",
     "prime_power",
     "digits",
@@ -84,6 +88,13 @@ __all__ = [
     "projection_from_dict",
 ]
 
+#: The dtype of element indices: every array entry, table and projection
+#: table.  No alphabet here comes near its range.
+INDEX_DTYPE = np.dtype(np.int32)
+
+#: Largest alphabet order, so that every index fits ``INDEX_DTYPE``.
+MAX_ORDER = int(np.iinfo(INDEX_DTYPE).max)
+
 #: Largest field handled here.  The constructions in this package never need
 #: more, and it keeps every exhaustive validation loop trivially cheap.
 MAX_FIELD_ORDER = 256
@@ -121,7 +132,7 @@ def _grid(orders: Sequence[int]) -> np.ndarray:
     fastest: every element of a product alphabet, or every run of a full
     factorial, in index order.  ``np.ravel_multi_index`` is the inverse."""
     orders = tuple(orders)
-    return np.stack(np.unravel_index(np.arange(math.prod(orders)), orders), axis=1)
+    return np.stack(np.unravel_index(np.arange(math.prod(orders)), orders), axis=1, dtype=INDEX_DTYPE)
 
 
 def _vectors(size: int, k: int) -> np.ndarray:
@@ -489,6 +500,8 @@ class ResidueGroup(Group):
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
+        if self.modulus > MAX_ORDER:
+            raise ValueError(f"modulus {self.modulus} exceeds the largest alphabet order {MAX_ORDER}")
 
     @property
     def order(self) -> int:
@@ -537,6 +550,8 @@ class ProductGroup(Group):
         object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) < 2:
             raise ValueError("a product alphabet needs at least two components")
+        if self.order > MAX_ORDER:
+            raise ValueError(f"product order {self.order} exceeds the largest alphabet order {MAX_ORDER}")
 
     @property
     def order(self) -> int:
@@ -623,11 +638,11 @@ def add_table(g: Group) -> np.ndarray:
     """Index-level addition table of ``g`` as a read-only (order, order) array."""
     n = g.order
     if isinstance(g, ResidueGroup):
-        i = np.arange(n)
+        i = np.arange(n, dtype=INDEX_DTYPE)
         tab = (i[:, None] + i[None, :]) % n
     elif isinstance(g, GaloisGroup):
         p = g.field.p
-        tab = np.zeros((n, n), dtype=np.int64)
+        tab = np.zeros((n, n), dtype=INDEX_DTYPE)
         for k, dig in enumerate(_vectors(p, g.field.u).T):
             tab += ((dig[:, None] + dig[None, :]) % p) * p**k
     elif isinstance(g, ProductGroup):
@@ -636,24 +651,24 @@ def add_table(g: Group) -> np.ndarray:
         tab = np.ravel_multi_index(sums, orders)
     else:  # pragma: no cover - new alphabet kinds must extend this table
         raise TypeError(f"unknown group kind {type(g).__name__}")
-    tab = tab.astype(np.int64)
+    tab = tab.astype(INDEX_DTYPE, copy=False)  # ravel_multi_index gives intp
     tab.setflags(write=False)
     return tab
 
 
 def _powers_mod(f: Field, count: int) -> np.ndarray:
     """(count, u) coefficients of x^k mod the defining polynomial, k < count."""
-    return np.array([f.from_poly((0,) * k + (1,)).coeffs for k in range(count)], dtype=np.int32)
+    return np.array([f.from_poly((0,) * k + (1,)).coeffs for k in range(count)], dtype=INDEX_DTYPE)
 
 
 def _to_index(coeffs: np.ndarray, p: int) -> np.ndarray:
     """Element indices of coefficient vectors along the last axis, reduced mod p."""
-    return (coeffs % p) @ p ** np.arange(coeffs.shape[-1], dtype=np.int64)
+    return (coeffs % p) @ p ** np.arange(coeffs.shape[-1], dtype=INDEX_DTYPE)
 
 
 def _scale_table(f: Field) -> np.ndarray:
     """(p, order) indices of the multiples ``c * e``, c in Z_p, e in ``f``."""
-    return _to_index(np.arange(f.p, dtype=np.int32)[:, None, None] * _vectors(f.p, f.u), f.p)
+    return _to_index(np.arange(f.p, dtype=INDEX_DTYPE)[:, None, None] * _vectors(f.p, f.u), f.p)
 
 
 @lru_cache(maxsize=None)
@@ -666,8 +681,8 @@ def mul_table(f: Field) -> np.ndarray:
     the same again."""
     dig = _vectors(f.p, f.u)
     add, scale = add_table(GaloisGroup(f)), _scale_table(f)
-    low = np.asarray(f.irreducible[:-1], dtype=np.int32)
-    tab = np.zeros((f.order, f.order), dtype=np.int64)
+    low = np.asarray(f.irreducible[:-1], dtype=INDEX_DTYPE)
+    tab = np.zeros((f.order, f.order), dtype=INDEX_DTYPE)
     xb = dig  # coefficients of x^i * b, one row per b
     for i in range(f.u):
         tab = add[tab, scale[dig[:, i, None], _to_index(xb, f.p)]]
@@ -705,7 +720,7 @@ def _check_mul_table(f: Field, tab: np.ndarray) -> None:
 
 @lru_cache(maxsize=None)
 def neg_table(g: Group) -> np.ndarray:
-    tab = np.argmax(add_table(g) == 0, axis=1).astype(np.int64)
+    tab = np.argmax(add_table(g) == 0, axis=1).astype(INDEX_DTYPE)
     tab.setflags(write=False)
     return tab
 
@@ -740,12 +755,12 @@ class Projection:
     detail: tuple = ()
 
     def np_table(self) -> np.ndarray:
-        """``table`` as a read-only int64 array, built once per projection."""
+        """``table`` as a read-only ``INDEX_DTYPE`` array, built once per projection."""
         return self._np_table
 
     @cached_property
     def _np_table(self) -> np.ndarray:
-        arr = np.asarray(self.table, dtype=np.int64)
+        arr = np.asarray(self.table, dtype=INDEX_DTYPE)
         arr.setflags(write=False)
         return arr
 

@@ -25,8 +25,11 @@ no view taken before construction can reach it, and compares by content.
 The constructions elsewhere are gated through ``require``, never the other
 way round.
 
-Entries are stored as integer element indices (see ``algebra``); the element
+Entries are stored as int32 element indices (``algebra.INDEX_DTYPE``), so an
+alphabet has at most 2^31 - 1 elements (``algebra.MAX_ORDER``); the element
 objects and their text forms are recovered through the column alphabets.
+Outside data is checked against its alphabets in its own dtype before it is
+narrowed, so no entry can wrap into range.
 Apart from that record every function here is pure.  Checkers report the
 first violation in lexicographic column-pair order, so verdicts are
 deterministic.
@@ -45,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    INDEX_DTYPE,
     Group,
     Projection,
     add_table,
@@ -119,10 +123,14 @@ class FormatError(ValueError):
     does not."""
 
 
+#: The unsigned dtype of each signed integer width that reaches ``_admit``.
+_UNSIGNED = {4: np.uint32, 8: np.uint64}
+
+
 class _Owned:
     """A buffer that nestfill has just allocated, or an array field of an
-    existing value: a :class:`_Value` takes it over as it is.  Any other
-    data is copied."""
+    existing value, already of the field's dtype: a :class:`_Value` takes it
+    over as it is.  Any other data is copied."""
 
     __slots__ = ("buf",)
 
@@ -130,21 +138,38 @@ class _Owned:
         self.buf = buf
 
 
-def _frozen(value, dtype, name: str) -> np.ndarray:
+def _frozen(value, dtype, name: str, admit=None) -> np.ndarray:
     """A read-only matrix of ``dtype`` holding ``value``: an :class:`_Owned`
-    buffer as it is (cast if its dtype differs), anything else as a copy.
-    Values that an integer cast would change are refused, naming ``name``."""
-    owned = isinstance(value, _Owned)
-    src = np.asarray(value.buf if owned else value)
-    if src.dtype.kind not in "biu" and np.dtype(dtype).kind == "i":
-        with np.errstate(invalid="ignore"):  # NaN and inf are refused below
-            out = src.astype(dtype)
-        if not np.array_equal(out, src):
-            raise ValueError(f"{name} holds non-integral values")
+    buffer as it is (one of another dtype is a ``TypeError``), anything else
+    as a copy.  For an integer ``dtype``, non-integral values are refused,
+    naming ``name``; then ``admit(name, data)``, if given, sees the integers
+    in their own dtype (or ``dtype``, if that is wider) before they are
+    narrowed, so that it can refuse a value the cast would wrap."""
+    dtype = np.dtype(dtype)
+    if isinstance(value, _Owned):
+        out = value.buf
+        if out.dtype != dtype:
+            raise TypeError(f"{name}: an owned buffer must be {dtype}, got {out.dtype}")
+        if out.ndim < 2:
+            out = np.atleast_2d(out)
+        if admit is not None and dtype.kind == "i":
+            admit(name, out)
     else:
-        out = src.astype(dtype, copy=not owned)
-    if out.ndim < 2:
-        out = np.atleast_2d(out)
+        src, fresh = np.asarray(value), False
+        if src.ndim < 2:
+            src = np.atleast_2d(src)
+        if dtype.kind == "i":
+            if src.dtype.kind not in "biu":
+                with np.errstate(invalid="ignore"):  # NaN and inf are refused below
+                    wide = src.astype(np.int64)
+                if not np.array_equal(wide, src):
+                    raise ValueError(f"{name} holds non-integral values")
+                src, fresh = wide, True
+            elif src.dtype.itemsize < dtype.itemsize:
+                src, fresh = src.astype(dtype), True  # widening changes no value
+            if admit is not None:
+                admit(name, src)
+        out = src.astype(dtype, copy=not fresh)
     out.setflags(write=False)
     return out
 
@@ -165,7 +190,11 @@ class _Value:
 
     def __post_init__(self) -> None:
         for name, dtype in self._arrays.items():
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype, name))
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype, name, self._admit))
+
+    def _admit(self, name: str, data: np.ndarray) -> None:
+        """Check integer field ``name`` as it comes in, before any cast
+        narrows it; see :func:`_frozen`.  The base admits everything."""
 
     def _values(self) -> list:
         return [getattr(self, f.name) for f in fields(self)]
@@ -183,10 +212,10 @@ class _Value:
 class LevelArray(_Value):
     """An n x m matrix of group elements with a per-column alphabet.
 
-    ``data`` holds element indices.  ``row_labels`` (indices into
-    ``label_group``) record provenance such as the field elements labelling
-    the rows of a multiplication table; they ride along through row and
-    column selection.
+    ``data`` holds element indices, as ``INDEX_DTYPE``.  ``row_labels``
+    (indices into ``label_group``) record provenance such as the field
+    elements labelling the rows of a multiplication table; they ride along
+    through row and column selection.
     """
 
     groups: tuple[Group, ...]
@@ -194,40 +223,45 @@ class LevelArray(_Value):
     row_labels: tuple[int, ...] | None = None
     label_group: Group | None = None
 
-    _arrays = {"data": np.int64}
+    _arrays = {"data": INDEX_DTYPE}
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "groups", tuple(self.groups))
         super().__post_init__()
-        data, groups = self.data, tuple(self.groups)
         object.__setattr__(self, "_passed", set())
-        object.__setattr__(self, "groups", groups)
+        if self.row_labels is not None:
+            if self.label_group is None:
+                raise ValueError("row_labels given without a label_group")
+            labels = _check_indices(self.row_labels, self.label_group.order, "row label", self.label_group)
+            if len(labels) != self.data.shape[0]:
+                raise ValueError("row_labels length does not match the row count")
+            object.__setattr__(self, "row_labels", labels)
+
+    def _admit(self, name: str, data: np.ndarray) -> None:
+        """One column per alphabet, every entry inside its column's alphabet;
+        of several bad entries, the one in the lowest column, then the lowest
+        row, is named."""
+        groups = self.groups
         if data.ndim != 2 or data.shape[1] != len(groups):
             raise ValueError(
                 f"data shape {data.shape} does not match {len(groups)} column alphabets"
             )
         if data.size:
-            # read as unsigned, a negative entry is above every order, so one
-            # maximum per alphabet tests both ends
+            # read as unsigned, a negative entry is above every order (all are
+            # below 2**31), so one maximum per alphabet tests both ends
+            unsigned = data.view(_UNSIGNED[data.itemsize]) if data.dtype.kind == "i" else data
             if groups.count(groups[0]) == len(groups):
-                outside = data.view(np.uint64).max() >= groups[0].order
+                outside = unsigned.max() >= groups[0].order
             else:
                 orders = np.array([g.order for g in groups], dtype=np.uint64)
-                outside = np.count_nonzero(data.view(np.uint64).max(axis=0) >= orders)
+                outside = np.count_nonzero(unsigned.max(axis=0) >= orders)
             if outside:
-                orders = np.array([g.order for g in groups])
-                j = int(np.argmax((data.min(axis=0) < 0) | (data.max(axis=0) >= orders)))
-                g, col = groups[j], data[:, j]
-                bad = int(np.argmax((col < 0) | (col >= g.order)))
-                raise ValueError(
-                    f"entry at row {bad}, column {j} is outside its alphabet {g.describe()}"
-                )
-        if self.row_labels is not None:
-            if self.label_group is None:
-                raise ValueError("row_labels given without a label_group")
-            labels = _check_indices(self.row_labels, self.label_group.order, "row label", self.label_group)
-            if len(labels) != data.shape[0]:
-                raise ValueError("row_labels length does not match the row count")
-            object.__setattr__(self, "row_labels", labels)
+                for j, g in enumerate(groups):
+                    bad = np.flatnonzero((data[:, j] < 0) | (data[:, j] >= g.order))
+                    if bad.size:
+                        raise ValueError(
+                            f"entry at row {bad[0]}, column {j} is outside its alphabet {g.describe()}"
+                        )
 
     @property
     def n_rows(self) -> int:
@@ -345,11 +379,13 @@ def _block_layout(data: np.ndarray, s: np.ndarray, width: int) -> tuple[np.ndarr
     """A column-major copy of ``data``, each column raised by ``P[j]``, the
     orders of the columns before ``j`` in its block, and ``P`` itself.
     A column of the copy is one contiguous read; the copy is int32 unless
-    the pair codes of a block need more."""
+    the pair codes of a block need more.  It is always a new, writeable
+    array: ``np.ascontiguousarray`` would hand back a one-column ``data``
+    itself."""
     before = np.cumsum(s) - s
     before -= before[np.arange(len(s)) // width * width]
     top = int(s.max()) * int((before + s).max())
-    out = np.ascontiguousarray(data.T, dtype=np.int32 if top < 2**31 else np.int64)
+    out = np.array(data.T, dtype=np.int32 if top < 2**31 else np.int64, order="C")
     out += before[:, None]
     return out, before
 
@@ -433,7 +469,7 @@ def check_oa(a: LevelArray) -> Verdict:
 @lru_cache(maxsize=None)
 def _slot_offsets(width: int, order: int) -> np.ndarray:
     """Column ``k`` of a block counts its differences from slot ``k * order``."""
-    out = np.arange(0, width * order, order)[:, None]
+    out = np.arange(0, width * order, order, dtype=INDEX_DTYPE)[:, None]
     out.setflags(write=False)
     return out
 
@@ -461,7 +497,9 @@ def check_dm(d: LevelArray) -> Verdict:
     want = b // order
     width = _block_width(b)
     diff = sub_table(g).ravel()  # cell l_i * order + l_j holds l_i - l_j
-    cols = np.ascontiguousarray(d.data.T)  # int64: it indexes diff
+    # intp: l_i * order + l_j indexes diff, passes 2**31 above order 46340,
+    # and numpy would convert narrower indices on every gather
+    cols = np.array(d.data.T, dtype=np.intp, order="C")
     slots = _slot_offsets(min(width, m), order)
     for i in range(m - 1):
         lead = cols[i] * order
@@ -680,14 +718,14 @@ def _parse_grid(groups: Sequence[Group], rows: list[list[str]], where: str) -> n
     for r, cells in enumerate(rows):
         if len(cells) != m:
             raise FormatError(f"{where}: row {r + 1} has {len(cells)} cells, expected {m}")
-    data = np.empty((len(rows), m), dtype=np.int64)
+    data = np.empty((len(rows), m), dtype=INDEX_DTYPE)
     columns: dict[Group, list[int]] = {}
     for j, g in enumerate(groups):
         columns.setdefault(g, []).append(j)
     bad = None  # (column, row, message) of the first bad cell found so far
     for g, js in columns.items():
         cells = list(chain.from_iterable(rows)) if len(js) == m else [row[j] for row in rows for j in js]
-        idx = np.fromiter(map(text_codec(g)[1].get, cells, repeat(-1)), np.int64, len(cells))
+        idx = np.fromiter(map(text_codec(g)[1].get, cells, repeat(-1)), INDEX_DTYPE, len(cells))
         # the misses in column-major order, the order the first bad cell is named in
         for k in sorted(np.flatnonzero(idx < 0).tolist(), key=lambda k: (k % len(js), k)):
             r, j = k // len(js), js[k % len(js)]

@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    INDEX_DTYPE,
     Field,
     GaloisGroup,
     GfElem,
@@ -138,7 +139,7 @@ def _table_columns(f: Field, cols: np.ndarray, rows: np.ndarray) -> LevelArray:
 
 def trivial_oa(group: Group) -> LevelArray:
     """The single-column array listing every element of the alphabet once."""
-    return LevelArray((group,), np.arange(group.order)[:, None])
+    return LevelArray((group,), _Owned(np.arange(group.order, dtype=INDEX_DTYPE)[:, None]))
 
 
 def full_factorial(groups: Sequence[Group]) -> LevelArray:
@@ -303,7 +304,7 @@ def _linear_entries(f: Field, rows: np.ndarray, dirs: np.ndarray) -> LevelArray:
     """Entry (a, b) is the linear form ``sum_i dirs[b, i] * rows[a, i]``."""
     g = GaloisGroup(f)
     add, mul = add_table(g), mul_table(f)
-    data = np.zeros((len(rows), len(dirs)), dtype=np.int64)
+    data = np.zeros((len(rows), len(dirs)), dtype=INDEX_DTYPE)
     for i in range(rows.shape[1]):
         data = add[data, mul[rows[:, i, None], dirs[None, :, i]]]
     return LevelArray((g,) * len(dirs), _Owned(data))
@@ -425,7 +426,7 @@ def zero_sum_noa(s1: int, s2: int) -> NestedPair:
         raise ValueError(f"s2 must divide s1; got s1={s1}, s2={s2}")
     g = ResidueGroup(s1)
     ij = _grid((s1, s1))
-    parent = LevelArray((g,) * 3, _Owned(np.column_stack([ij, -ij.sum(axis=1) % s1])))
+    parent = LevelArray((g,) * 3, _Owned(np.column_stack([ij, -ij.sum(axis=1, dtype=INDEX_DTYPE) % s1])))
     child_rows = tuple(np.flatnonzero((ij < s2).all(axis=1)))
     proj = residue(g, s2)
     pair = NestedPair(parent, child_rows, (proj,) * 3)

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    INDEX_DTYPE,
     Group,
     Projection,
     ProductGroup,
@@ -107,7 +108,7 @@ def ww_from_noas(
         crossed.append((subcols(noa.parent, cols), dm, projections))
     if include_b:  # a zero column crossed with Z_b lists r in row i*b + r
         zb = ResidueGroup(b)
-        zero = LevelArray((zb,), np.zeros((noa.parent.n_rows, 1)))
+        zero = LevelArray((zb,), _Owned(np.zeros((noa.parent.n_rows, 1), dtype=INDEX_DTYPE)))
         crossed.append((zero, trivial_oa(zb), (identity_projection(zb),)))
     return _crossed(crossed, noa.child_rows, range(b), "ww_from_noas")
 
@@ -160,7 +161,7 @@ def ww_from_ndms(
                 f"run-index column needs the child row count {b2} to divide {b1}"
             )
         zb = ResidueGroup(b1)
-        zero = LevelArray((zb,), np.zeros((a.n_rows, 1)))
+        zero = LevelArray((zb,), _Owned(np.zeros((a.n_rows, 1), dtype=INDEX_DTYPE)))
         crossed.append((zero, trivial_oa(zb), (residue(b1, b2),)))
     return _crossed(crossed, range(a.n_rows), range(b2), "ww_from_ndms")
 
@@ -185,7 +186,7 @@ def mixed_dm_lemma7(d1: LevelArray, d2: LevelArray, c0: int) -> LevelArray:
     b1, b2 = d1.n_rows, d2.n_rows
     i_idx, j_idx = _grid((b1, b2)).T
     pair_block = np.ravel_multi_index((d1.data[i_idx, :c0], d2.data[j_idx, :c0]), (g1.order, g2.order))
-    data = np.hstack([pair_block, d1.data[i_idx, c0:], d2.data[j_idx, c0:]])
+    data = np.hstack([pair_block, d1.data[i_idx, c0:], d2.data[j_idx, c0:]], dtype=INDEX_DTYPE)
     groups = (paired,) * c0 + (g1,) * (c1 - c0) + (g2,) * (c2 - c0)
     out = LevelArray(groups, _Owned(data))
     require(subcols(out, range(c0)), "dm", "mixed_dm_lemma7: paired block")

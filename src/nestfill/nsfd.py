@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ResidueGroup
+from .algebra import INDEX_DTYPE, ResidueGroup
 from .arrays import LevelArray, NestedPair, _frozen, _Owned, _Value, require
 
 __all__ = [
@@ -237,6 +237,6 @@ def is_uniform(counts: np.ndarray) -> bool:
 def _strata(points: np.ndarray, orders: Sequence[int]) -> LevelArray:
     """The design binned into its level grid: column ``j`` over Z_{s_j},
     cell ``min(floor(x * s_j), s_j - 1)`` as :func:`strat_counts` bins it."""
-    s = np.asarray(orders, dtype=np.int64)
-    cells = np.minimum((points * s).astype(np.int64), s - 1)
+    s = np.asarray(orders, dtype=INDEX_DTYPE)
+    cells = np.minimum((points * s).astype(INDEX_DTYPE), s - 1)
     return LevelArray(tuple(ResidueGroup(int(k)) for k in s), _Owned(cells))

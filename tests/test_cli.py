@@ -261,6 +261,32 @@ def test_huge_sidecar_field_refused_before_factoring(tmp_path, fields):
     assert proc.returncode == 4 and "maximum" in proc.stderr
 
 
+HUGE_ZMOD = {"kind": "zmod", "s": 10**18}
+
+
+@pytest.mark.parametrize(
+    "column, argv",
+    [
+        (HUGE_ZMOD, ["info", "{b}"]),
+        (HUGE_ZMOD, ["verify", "noa", "{b}"]),
+        (HUGE_ZMOD, ["lhd", "{b}", "--midpoint", "--out", "{b}_design"]),
+        ({"kind": "zmod", "s": 2**40}, ["info", "{b}"]),
+        ({"kind": "zmod", "s": 2**31}, ["info", "{b}"]),
+        ({"kind": "product", "components": [{"kind": "zmod", "s": 2**20}] * 2}, ["info", "{b}"]),
+    ],
+)
+def test_huge_sidecar_alphabet_refused_before_enumerating(tmp_path, column, argv):
+    # reading the cells once built the text of every element of the alphabet
+    prefix = str(tmp_path / "b")
+    assert run("construct", "zerosum", "s1=6", "s2=3", "--out", prefix) == 0
+    meta = json.loads((tmp_path / "b.json").read_text())
+    meta["columns"] = [column] * len(meta["columns"])
+    (tmp_path / "b.json").write_text(json.dumps(meta))
+    proc = _process(*(a.format(b=prefix) for a in argv), timeout=5)
+    assert proc.returncode == 4 and "exceeds the largest alphabet order" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("s", ["6", "1", "0"])
 def test_non_prime_power_order_exit_2(tmp_path, s):
     assert run("construct", "multtable", f"s={s}", "--out", str(tmp_path / "x")) == 2

@@ -316,3 +316,69 @@ def test_every_one_cell_mutant_of_a_tight_array_fails():
                 assert not check(mutant)
                 count += 1
     assert count == 1078
+
+
+class _ResidueSubTable:
+    """The subtraction table of Z_s without its s**2 cells: each cell looked
+    up is worked out, ``sub[a, b]`` as the reference reads it and flat cell
+    ``a * s + b`` as ``check_dm`` reads it, with numpy's bounds and its
+    wrap-around of negative indices."""
+
+    def __init__(self, s: int):
+        self.s = s
+
+    def ravel(self):
+        return self
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            a, b = (np.asarray(k, dtype=np.int64) for k in key)
+            return ((a - b) % self.s).astype(np.int32)
+        k = np.asarray(key, dtype=np.int64)
+        cells = self.s * self.s
+        if k.size and (k.min() < -cells or k.max() >= cells):
+            raise IndexError("index out of bounds")
+        k = k % cells
+        return ((k // self.s - k % self.s) % self.s).astype(np.int32)
+
+
+def test_dm_lookups_past_int32_match_reference(monkeypatch):
+    """Over Z_50001, ``l_i * s + l_j`` reaches 2.5e9: the kernel must form
+    its table lookups past 2**31 without wrapping.  Z_s's real table would
+    hold 2.5e9 cells, so both sides look cells up in a stand-in."""
+    s = 50001  # odd, so r -> 2r is a bijection of Z_s
+    table = _ResidueSubTable(s)
+    monkeypatch.setattr(arrays, "sub_table", lambda g: table)
+    monkeypatch.setitem(globals(), "sub_table", lambda g: table)
+    r = np.arange(s)
+    grid = np.column_stack([r, np.zeros(s, dtype=np.int64), 2 * r % s])
+    assert (s - 1) * s + s - 1 >= 2**31
+    zs = (ResidueGroup(s),) * 3
+    assert check_dm(LevelArray(zs, grid)) == reference_check_dm(LevelArray(zs, grid)) == Verdict(True, "dm")
+    for r1, col in ((s - 1, 1), (s - 2, 2), (0, 0)):
+        planted = grid.copy()
+        planted[r1, col] = (planted[r1, col] + 1) % s
+        a = LevelArray(zs, planted)
+        v = check_dm(a)
+        assert not v and v == reference_check_dm(a)
+
+
+def _is_fresh_copy(out: np.ndarray, data: np.ndarray) -> bool:
+    return out.flags.writeable and out.flags.c_contiguous and not np.shares_memory(out, data)
+
+
+def test_block_layout_copies_one_column_and_int32_input():
+    """``_block_layout`` raises the copy in place, so it must never hand back
+    its input: not a one-column block, whose transpose is already
+    contiguous, nor int32 input, whose dtype needs no cast."""
+    one = LevelArray((ResidueGroup(5),), np.arange(10)[:, None] % 5).data
+    out, before = arrays._block_layout(one, np.array([5]), 16)
+    assert _is_fresh_copy(out, one) and out.tolist() == [list(range(5)) * 2]
+    assert before.tolist() == [0] and not one.flags.writeable
+    data = full_factorial((ResidueGroup(3), ResidueGroup(2), ResidueGroup(4))).data
+    assert data.dtype == np.int32
+    s = np.array([3, 2, 4])
+    out, before = arrays._block_layout(data, s, 2)
+    assert _is_fresh_copy(out, data) and out.dtype == np.int32
+    assert before.tolist() == [0, 3, 0]
+    assert np.array_equal(out, data.T + before[:, None])
