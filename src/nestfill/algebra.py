@@ -27,9 +27,10 @@ Index tables are the single arithmetic core.  ``add_table``, ``neg_table``,
 over element indices; constructions, projections and verifiers all work on
 them.  ``GfElem`` and the scalar ``Field.add``/``neg``/``mul`` methods are
 views for the API and file edges, where single elements are parsed, printed
-or compared.  ``text_codec`` is the text edge: per alphabet, the canonical
-text of every index and the map back, so files are read and written one
-lookup per cell.
+or compared.  ``texts_at`` and ``parse_indices`` are the text edge, so
+files are read and written one lookup per cell: through ``text_codec``, per
+alphabet the canonical text of every index and the map back, except in a
+residue ring, whose cells are decimal integers read and written directly.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -41,6 +42,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -73,6 +75,8 @@ __all__ = [
     "neg_table",
     "sub_table",
     "text_codec",
+    "texts_at",
+    "parse_indices",
     "Projection",
     "identity_projection",
     "truncation",
@@ -532,6 +536,17 @@ class ResidueGroup(Group):
             raise ValueError(f"{text!r} is not an element of Z_{self.modulus}")
         return v
 
+    def text_at(self, index: int) -> str:
+        """The decimal digits of ``index``; Z_s is never listed."""
+        return self.text(self.element(index))
+
+    def parse_index(self, text: str) -> int:
+        """The value of any spelling ``int`` reads (``7``, ``07``, `` 7``)
+        that lies in Z_s; Z_s is never listed."""
+        if not isinstance(text, str):
+            raise ValueError(f"{text!r} is not element text")
+        return self.parse(text)
+
     def describe(self) -> str:
         return f"Z_{self.modulus}"
 
@@ -619,9 +634,40 @@ class ProductGroup(Group):
 def text_codec(g: Group) -> tuple[tuple[str, ...], Mapping[str, int]]:
     """Canonical text of every element of ``g`` by index, and the read-only
     inverse map from text to index; the text edge of the index tables.
-    Built once per alphabet through the element path, ``text(element(i))``."""
+    Built once per alphabet through the element path, ``text(element(i))``.
+    A residue ring, whose texts are its decimal values, needs no codec:
+    ``texts_at`` and ``parse_indices`` read and write it directly, so a
+    Z_s of order up to ``MAX_ORDER`` is never listed."""
     texts = tuple(g.text(g.element(i)) for i in range(g.order))
     return texts, MappingProxyType({t: i for i, t in enumerate(texts)})
+
+
+def texts_at(g: Group, idx: np.ndarray) -> np.ndarray:
+    """Canonical texts of the elements at the indices ``idx`` (one
+    dimension, all in range), as an object array."""
+    if isinstance(g, ResidueGroup):
+        return np.array(list(map(str, idx.tolist())), dtype=object)
+    return np.array(text_codec(g)[0], dtype=object)[idx]
+
+
+def _residue_or_miss(s: int, text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        return -1
+    return v if 0 <= v < s else -1
+
+
+def parse_indices(g: Group, texts: Sequence[str]) -> np.ndarray:
+    """``INDEX_DTYPE`` index of each of ``texts`` that one lookup reads,
+    and -1 for the rest, which ``g.parse_index`` resolves or refuses.  A
+    lookup reads the canonical texts of the codec, or, in Z_s, every
+    spelling ``int`` reads as a value below s."""
+    if isinstance(g, ResidueGroup):
+        read = map(_residue_or_miss, repeat(g.modulus), texts)
+    else:
+        read = map(text_codec(g)[1].get, texts, repeat(-1))
+    return np.fromiter(read, INDEX_DTYPE, len(texts))
 
 
 def group_add(g: Group, a, b):

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -222,13 +223,20 @@ def test_verify_non_text_row_label_exit_4(tmp_path, capsys, label):
     assert capsys.readouterr().err.startswith("error: malformed bundle")
 
 
-def _process(*argv, timeout=None):
+def _process(*argv, timeout=None, memory_mib=None):
     """``nestfill.cli`` run as a process; a run past ``timeout`` seconds
-    raises ``subprocess.TimeoutExpired``."""
+    raises ``subprocess.TimeoutExpired``, and with ``memory_mib`` its
+    address space is capped at that size."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        limit = memory_mib * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     return subprocess.run(
         [sys.executable, "-m", "nestfill.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=cap if memory_mib else None,
     )
 
 
@@ -285,6 +293,27 @@ def test_huge_sidecar_alphabet_refused_before_enumerating(tmp_path, column, argv
     proc = _process(*(a.format(b=prefix) for a in argv), timeout=5)
     assert proc.returncode == 4 and "exceeds the largest alphabet order" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_largest_residue_alphabet_read_without_listing(tmp_path):
+    """Z_s cells are read and written as decimal integers: at s = 2**31 - 1,
+    listing the texts of every element took minutes and gigabytes."""
+    zmax = {"kind": "zmod", "s": 2**31 - 1}
+    prefix = str(tmp_path / "b")
+    assert run("construct", "zerosum", "s1=6", "s2=3", "--out", prefix) == 0
+    meta = json.loads((tmp_path / "b.json").read_text())
+    meta["columns"] = [zmax] * len(meta["columns"])
+    (tmp_path / "b.json").write_text(json.dumps(meta))
+    proc = _process("info", prefix, timeout=5, memory_mib=2000)
+    assert proc.returncode == 4 and "projection for column 0 has source Z_6" in proc.stderr
+    # a plain array over the same ring reads, is described, and fails both checks
+    plain = str(tmp_path / "p")
+    (tmp_path / "p.csv").write_text("c1,c2\n0,2147483646\n07,5\n")
+    (tmp_path / "p.json").write_text(json.dumps({"columns": [zmax, zmax]}))
+    proc = _process("info", plain, timeout=5, memory_mib=2000)
+    assert proc.returncode == 0, proc.stderr
+    assert "alphabets: Z_2147483647, Z_2147483647" in proc.stdout
+    assert "DM: FAIL - 2 rows not divisible by group order 2147483647" in proc.stdout
 
 
 @pytest.mark.parametrize("s", ["6", "1", "0"])

@@ -18,14 +18,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nestfill import algebra
 from nestfill.algebra import (
+    MAX_ORDER,
     GaloisGroup,
     ProductGroup,
     ResidueGroup,
     field_make,
     text_codec,
 )
-from nestfill.arrays import FormatError, LevelArray, read_array_csv, write_array_csv
+from nestfill.arrays import FormatError, LevelArray, _parse_grid, read_array_csv, write_array_csv
 from nestfill.catalog import DEFAULT_IRREDUCIBLES
 from nestfill.cli import main
 
@@ -192,6 +194,78 @@ def test_reader_accepts_non_canonical_cells_in_a_shared_alphabet(tmp_path):
     want = read_array_csv(str(canonical), (GF4, Z6, GF4))
     assert read_array_csv(str(spelled), (GF4, Z6, GF4)) == want
     assert want.texts() == [["x+1", "5", "x"], ["x", "0", "x+1"]]
+
+
+# ---------------------------------------------------------------------------
+# residue rings are read and written as decimal integers, never listed
+# ---------------------------------------------------------------------------
+
+ZMAX = ResidueGroup(MAX_ORDER)
+
+
+@pytest.fixture
+def no_residue_codec(monkeypatch):
+    """Fail any attempt to list the texts of a residue ring."""
+    real = algebra.text_codec
+
+    def guarded(g):
+        assert not isinstance(g, ResidueGroup), f"listed {g.describe()}"
+        return real(g)
+
+    monkeypatch.setattr(algebra, "text_codec", guarded)
+
+
+def test_largest_residue_ring_round_trips_without_listing(tmp_path, no_residue_codec):
+    a = LevelArray((ZMAX, GF4, Z6), [[0, 1, 5], [MAX_ORDER - 1, 3, 0], [2**30, 2, 3]])
+    want = [["0", "1", "5"], [str(MAX_ORDER - 1), "x+1", "0"], [str(2**30), "x", "3"]]
+    assert a.texts() == want
+    assert [a.row_texts(i) for i in range(a.n_rows)] == want
+    assert ZMAX.text_at(MAX_ORDER - 1) == str(MAX_ORDER - 1)
+    with pytest.raises(ValueError, match="out of range"):
+        ZMAX.text_at(MAX_ORDER)
+    path = str(tmp_path / "a.csv")
+    write_array_csv(path, a)
+    assert read_array_csv(path, a.groups) == a
+    assert ZMAX.parse_index(" 0007") == 7
+    for bad, says in ((str(MAX_ORDER), "is not an element of"), ("7x", "invalid literal"), (7, "is not element text")):
+        with pytest.raises(ValueError, match=says):
+            ZMAX.parse_index(bad)
+
+
+def _reference_grid(groups, rows, where):
+    """Cell by cell through the element path, in column-major order."""
+    for j, g in enumerate(groups):
+        for r, row in enumerate(rows):
+            try:
+                g.index(g.parse(row[j]))
+            except ValueError as e:
+                return f"{where}: row {r + 1}, column {j + 1}: {e}"
+    return [[g.index(g.parse(t)) for g, t in zip(groups, row)] for row in rows]
+
+
+RESIDUE_SPELLINGS = st.one_of(
+    st.integers(-3, 30).map(str),
+    st.sampled_from([str(MAX_ORDER - 1), str(MAX_ORDER), "10" * 12, "1_0", " 7", "07", "+3", "\u0661", "", "x", "1e1"]),
+    st.text(alphabet="0123456789 +-_x", max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_residue_cells_parse_as_the_element_path_does(data):
+    """Any spelling ``int`` reads into range parses; anything else fails with
+    the element path's message, and of several bad cells the lowest column,
+    then the lowest row, is named, across a field column between them."""
+    groups = (data.draw(st.sampled_from([ZMAX, Z12, ResidueGroup(1)])), GF4, ZMAX)
+    n = data.draw(st.integers(1, 4))
+    gf4_cell = st.sampled_from(["0", "1", "x", "x+1", "1+x", "?"])
+    rows = [[data.draw(RESIDUE_SPELLINGS), data.draw(gf4_cell), data.draw(RESIDUE_SPELLINGS)] for _ in range(n)]
+    want = _reference_grid(groups, rows, "grid")
+    try:
+        got = _parse_grid(groups, rows, "grid").tolist()
+    except FormatError as e:
+        got = str(e)
+    assert got == want
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n", "00 01\n11"])

@@ -46,7 +46,7 @@ from nestfill.arrays import (
     subrows,
     write_array_csv,
 )
-from nestfill.constructions import full_factorial, mult_table as mult_table_array, trivial_oa
+from nestfill.constructions import full_factorial, mult_table as mult_table_array, search_nested_rows, trivial_oa
 from nestfill.nsfd import _strata
 
 
@@ -207,6 +207,22 @@ def test_entries_that_int32_would_wrap_are_refused(value):
 def test_owned_buffer_of_another_dtype_is_refused():
     with pytest.raises(TypeError, match="owned buffer must be int32"):
         LevelArray((ResidueGroup(2),), _Owned(np.zeros((2, 1), dtype=np.int64)))
+
+
+def test_row_and_column_selections_skip_a_second_admission(monkeypatch):
+    """Entries taken from an admitted array under the same alphabets are
+    not checked again; every other owned buffer still is."""
+    gf4, gf16 = field_make(2, 2), field_make(2, 4)
+    d = mult_table_array(gf16)
+    seen = []
+    real = LevelArray._admit
+    monkeypatch.setattr(LevelArray, "_admit", lambda self, name, data: seen.append(data.shape) or real(self, name, data))
+    out = [subrows(d, [3, 1]), subcols(d, [5, 0, 2])]
+    assert search_nested_rows(d, 4, truncation(gf16, gf4), budget=50) is None
+    assert seen == [(16, 16)]  # the collapse, not the 50 candidates
+    assert out[0].data.tolist() == d.data[[3, 1]].tolist() and out[1].data.tolist() == d.data[:, [5, 0, 2]].tolist()
+    with pytest.raises(ValueError, match="^entry at row 1, column 0 is outside its alphabet Z_2$"):
+        LevelArray((ResidueGroup(2),), _Owned(np.array([[0], [2]], dtype=INDEX_DTYPE)))
 
 
 def test_alphabet_orders_are_bounded_by_the_index_dtype():

@@ -1,13 +1,15 @@
-"""The blocked counting kernels of ``check_oa`` and ``check_dm`` against the
+"""The counting kernels of ``check_oa`` and ``check_dm`` against the
 definition-level reference.
 
 The reference below is the per-pair loop: one ``bincount`` per column pair,
 in lexicographic pair order, with every ordered pair counted for difference
 matrices.  The kernels must return the same verdict, reason and witness on
-every input.  Most tests also shrink the kernels' block width, so that small
-arrays cross block boundaries the way large arrays do.
+every input.  Most tests also shrink the block kernels' width, so that small
+arrays cross block boundaries the way large arrays do, and run both of
+``check_dm``'s kernels (pair by pair and in blocks) whatever the size.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -24,7 +26,8 @@ from nestfill.arrays import (
     kronecker_add,
     subcols,
 )
-from nestfill.constructions import full_factorial, mult_table, rao_hamming_oa
+from nestfill.catalog import catalog_get
+from nestfill.constructions import full_factorial, mult_table, ndm_theorem1, rao_hamming_oa
 
 
 def reference_check_oa(a: LevelArray) -> Verdict:
@@ -111,9 +114,40 @@ def reference_check_dm(d: LevelArray) -> Verdict:
     return Verdict(True, "dm")
 
 
+@contextlib.contextmanager
+def dm_kernel(name: str | None):
+    """Send every ``check_dm`` call to one kernel, ``"pairs"`` or
+    ``"blocks"``; ``None`` keeps the library's size rule."""
+    if name is None:
+        yield
+        return
+    cells = 10**9 if name == "pairs" else 0
+    with mock.patch.object(arrays, "_PAIRWISE_CELLS", cells), mock.patch.object(arrays, "_PAIRWISE_ORDER", 10**9):
+        yield
+
+
+def assert_dm_same(a: LevelArray, want, kernels=(None, "pairs", "blocks")) -> None:
+    """``check_dm`` under each kernel gives ``want``: the reference verdict,
+    or the ``ValueError`` it raised."""
+    for kernel in kernels:
+        with dm_kernel(kernel):
+            if isinstance(want, ValueError):
+                try:
+                    check_dm(a)
+                except ValueError as e:
+                    assert str(e) == str(want)
+                else:
+                    raise AssertionError("check_dm accepted mixed alphabets")
+            else:
+                assert check_dm(a) == want, kernel
+
+
 def assert_same(a: LevelArray, widths=(None,)) -> None:
-    """Both kernels agree with the reference at every block width given
-    (``None`` is the library's own)."""
+    """The kernels agree with the reference at every block width given
+    (``None`` is the library's own, with ``check_dm``'s own choice of
+    kernel; any other width runs its block kernel).  ``check_dm``'s pair
+    kernel is run as well, on alphabets small enough to convert its
+    subtraction table."""
     want_oa = reference_check_oa(a)
     try:
         want_dm = reference_check_dm(a)
@@ -122,15 +156,9 @@ def assert_same(a: LevelArray, widths=(None,)) -> None:
     for w in widths:
         with mock.patch.object(arrays, "_block_width", arrays._block_width if w is None else lambda n: w):
             assert check_oa(a) == want_oa, w
-            if isinstance(want_dm, ValueError):
-                try:
-                    check_dm(a)
-                except ValueError as e:
-                    assert str(e) == str(want_dm)
-                else:
-                    raise AssertionError("check_dm accepted mixed alphabets")
-            else:
-                assert check_dm(a) == want_dm, w
+            assert_dm_same(a, want_dm, (None if w is None else "blocks",))
+    if max((g.order for g in a.groups), default=0) <= 256:
+        assert_dm_same(a, want_dm, ("pairs",))
 
 
 WIDTHS = (1, 2, 3, 5, 16, None)
@@ -382,3 +410,106 @@ def test_block_layout_copies_one_column_and_int32_input():
     assert _is_fresh_copy(out, data) and out.dtype == np.int32
     assert before.tolist() == [0, 3, 0]
     assert np.array_equal(out, data.T + before[:, None])
+
+
+# ---------------------------------------------------------------------------
+# check_dm's two kernels and the size rule between them
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def kernels_run():
+    """The names of the ``check_dm`` kernels called inside the block."""
+    ran = []
+
+    def spy(name):
+        real = getattr(arrays, name)
+
+        def counted(*args):
+            ran.append(name)
+            return real(*args)
+
+        return mock.patch.object(arrays, name, counted)
+
+    with spy("_dm_pairs"), spy("_dm_blocks"):
+        yield ran
+
+
+def _rule(a: LevelArray) -> str:
+    small = a.n_rows * a.n_cols <= arrays._PAIRWISE_CELLS and a.groups[0].order <= arrays._PAIRWISE_ORDER
+    return "_dm_pairs" if small else "_dm_blocks"
+
+
+def _residue_dm(p: int) -> LevelArray:
+    """The multiplication table of Z_p, p prime: a D(p, p, p) over Z_p."""
+    r = np.arange(p)
+    return LevelArray((ResidueGroup(p),) * p, r[:, None] * r[None, :] % p)
+
+
+#: Passing square DMs to cut shapes from: orders on both sides of
+#: ``_PAIRWISE_ORDER`` (16 and 17), fields and residue rings.
+DM_BASES = [mult_table(field_make(*pu)) for pu in [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4)]] + [
+    _residue_dm(p) for p in (5, 7, 13, 17, 19)
+]
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_dm_kernels_match_reference_around_the_size_rule(data):
+    """Column subsets of passing DMs, stacked k times with their rows
+    shuffled (still DMs, with b / g = k), with or without one planted change.
+    The number of copies is drawn so that b * m falls below, on and above
+    the cell limit; every kernel must give the reference's verdict."""
+    base = data.draw(st.sampled_from(DM_BASES))
+    q = base.n_rows
+    m = data.draw(st.integers(1, q))
+    cols = data.draw(st.permutations(range(q)))[:m]
+    edge = arrays._PAIRWISE_CELLS // (q * m)
+    k = data.draw(st.one_of(st.sampled_from(sorted({max(1, edge), edge + 1})), st.integers(1, max(2, 2 * edge + 1))))
+    rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(q * k)
+    grid = np.vstack([base.data[:, cols]] * k)[rows]
+    if data.draw(st.booleans()):
+        grid = _plant(grid, base.groups[:m], data.draw)
+    a = LevelArray(base.groups[:m], grid)
+    want = reference_check_dm(a)
+    with kernels_run() as ran:
+        assert check_dm(a) == want
+    assert ran == [_rule(a)]
+    assert_dm_same(a, want, ("pairs", "blocks"))
+
+
+def _dm_mutants_match_reference(a: LevelArray, kernels=(None, "pairs", "blocks")) -> int:
+    assert check_dm(a)
+    count = 0
+    for mutant in _one_cell_mutants(a):
+        want = reference_check_dm(mutant)
+        assert not want
+        assert_dm_same(mutant, want, kernels)
+        count += 1
+    return count
+
+
+def test_one_cell_mutants_of_small_dms_match_reference():
+    """Every one-cell change of three small DMs fails, under both kernels,
+    with the reference's witness."""
+    dms = [mult_table(field_make(2, 2)), ndm_theorem1(2).parent, catalog_get("d_12_6_6").payload]
+    assert [d.shape for d in dms] == [(4, 4), (8, 4), (12, 6)]
+    assert [_dm_mutants_match_reference(d) for d in dms] == [48, 224, 360]
+
+
+def test_boundary_shapes_of_each_kernel_match_reference():
+    """16 x 8 over GF(16) is the largest shape the pair kernel takes (at
+    both limits); 16 x 9 over GF(16) has one column too many and 17 x 2
+    over Z_17 one element too many, so the block kernel takes them.  Each
+    array and every one-cell mutant of it matches the reference."""
+    assert (arrays._PAIRWISE_CELLS, arrays._PAIRWISE_ORDER) == (128, 16)
+    gf16 = mult_table(field_make(2, 4))
+    for a, kernel, mutants in (
+        (subcols(gf16, range(8)), "_dm_pairs", 1920),
+        (subcols(gf16, range(9)), "_dm_blocks", 2160),
+        (subcols(_residue_dm(17), [1, 2]), "_dm_blocks", 544),
+    ):
+        with kernels_run() as ran:
+            assert check_dm(a)
+            assert _dm_mutants_match_reference(a, (None,)) == mutants
+        assert set(ran) == {kernel}
