@@ -27,10 +27,13 @@ Index tables are the single arithmetic core.  ``add_table``, ``neg_table``,
 over element indices; constructions, projections and verifiers all work on
 them.  ``GfElem`` and the scalar ``Field.add``/``neg``/``mul`` methods are
 views for the API and file edges, where single elements are parsed, printed
-or compared.  ``texts_at`` and ``parse_indices`` are the text edge, so
-files are read and written one lookup per cell: through ``text_codec``, per
-alphabet the canonical text of every index and the map back, except in a
-residue ring, whose cells are decimal integers read and written directly.
+or compared.  The projection builders keep one validated object per
+distinct argument, like the tables; refusals are not cached, so a bad
+argument raises on every call.  ``texts_at`` and ``parse_indices`` are the
+text edge, so files are read and written one lookup per cell: through
+``text_codec``, per alphabet the canonical text of every index and the map
+back, except in a residue ring, whose cells are decimal integers read and
+written directly.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -102,6 +105,19 @@ MAX_ORDER = int(np.iinfo(INDEX_DTYPE).max)
 #: Largest field handled here.  The constructions in this package never need
 #: more, and it keeps every exhaustive validation loop trivially cheap.
 MAX_FIELD_ORDER = 256
+
+
+def _integer(v, what: str) -> int:
+    """``v`` as a plain int: a numpy integer becomes the int it equals, and
+    a float, a bool or anything else is refused.  Equal alphabets share
+    cached tables, factors and projections, so an alphabet must not equal
+    another while holding a number of another kind (Z_6.0 equals Z_6, and
+    JSON cannot write an ``np.int64``)."""
+    if isinstance(v, np.integer):
+        v = int(v)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -260,8 +276,13 @@ class GfElem:
         return poly_text(self.coeffs)
 
 
-def _find_factor(poly: Sequence[int], p: int) -> tuple[int, ...] | None:
-    """Smallest monic factor of degree 1..deg//2, by exhaustive trial division."""
+@lru_cache(maxsize=None)
+def _find_factor(poly: tuple[int, ...], p: int) -> tuple[int, ...] | None:
+    """Smallest monic factor of degree 1..deg//2, by exhaustive trial division.
+
+    Cached: each defining polynomial is divided through once per process,
+    and every ``Field`` built on it reads the same answer (a reducible one
+    is refused on every call, from the cached factor)."""
     deg = len(poly) - 1
     for d in range(1, deg // 2 + 1):
         # all monic polynomials of degree d, lowest coefficients first
@@ -281,9 +302,10 @@ class Field:
     p : prime characteristic.
     u : extension degree, at least 1.
     irreducible : monic degree-u polynomial over Z_p, constant term first.
-        Irreducibility is verified by exhaustive trial division at
-        construction time; a reducible input raises ``ValueError`` naming a
-        nontrivial factor.
+        Irreducibility is verified by exhaustive trial division, once per
+        distinct polynomial and characteristic (``_find_factor`` is cached);
+        every construction checks the rest anew, and a reducible input
+        raises ``ValueError`` naming a nontrivial factor each time.
     """
 
     p: int
@@ -291,6 +313,8 @@ class Field:
     irreducible: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", _integer(self.p, "characteristic"))
+        object.__setattr__(self, "u", _integer(self.u, "extension degree"))
         if self.u < 1:
             raise ValueError(f"extension degree must be >= 1, got {self.u}")
         # bound the order before p is factored or raised to a large power u
@@ -502,6 +526,7 @@ class ResidueGroup(Group):
     modulus: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "modulus", _integer(self.modulus, "modulus"))
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
         if self.modulus > MAX_ORDER:
@@ -792,6 +817,10 @@ class Projection:
     (``delta(a + b) == delta(a) + delta(b)`` for every source pair) and is
     balanced (every target element has exactly ``|source| / |target|``
     preimages).  ``table`` maps source index to target index.
+
+    Each factory keeps one validated object per distinct argument, like the
+    tables; refusals are not cached.  Every caller shares that object, which
+    is safe because a projection is frozen and its ``np_table()`` read-only.
     """
 
     kind: str
@@ -841,10 +870,12 @@ def _validated(kind: str, source: Group, target: Group, table: Sequence[int], de
     return Projection(kind, source, target, table, detail)
 
 
+@lru_cache(maxsize=None)
 def identity_projection(g: Group) -> Projection:
     return _validated("identity", g, g, range(g.order))
 
 
+@lru_cache(maxsize=None)
 def truncation(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Projection:
     """Drop all terms of degree >= u2; the Bose-Bush style collapse."""
     f1 = source.field if isinstance(source, GaloisGroup) else source
@@ -857,6 +888,7 @@ def truncation(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Proj
     return _validated("truncation", GaloisGroup(f1), GaloisGroup(f2), table, detail=(f2.u,))
 
 
+@lru_cache(maxsize=None)
 def modulus(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Projection:
     """Reduce each element modulo the target's defining polynomial."""
     f1 = source.field if isinstance(source, GaloisGroup) else source
@@ -869,6 +901,8 @@ def modulus(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Project
     return _validated("modulus", GaloisGroup(f1), GaloisGroup(f2), table, detail=(f2.irreducible,))
 
 
+# typed: 3.0 and True are equal keys to 3 and 1, and must still be refused
+@lru_cache(maxsize=None, typed=True)
 def residue(source: int | ResidueGroup, a: int) -> Projection:
     """The map u -> u mod a on a residue ring."""
     src = source if isinstance(source, ResidueGroup) else ResidueGroup(source)
@@ -878,20 +912,27 @@ def residue(source: int | ResidueGroup, a: int) -> Projection:
         raise ValueError(
             f"residue projection Z_{src.modulus} -> Z_{a} needs {a} to divide {src.modulus}"
         )
-    return _validated("residue", src, ResidueGroup(a), [i % a for i in range(src.modulus)], detail=(a,))
+    tgt = ResidueGroup(a)
+    return _validated("residue", src, tgt, [i % a for i in range(src.modulus)], detail=(tgt.modulus,))
 
 
+@lru_cache(maxsize=None, typed=True)
 def component(source: ProductGroup, which: int) -> Projection:
     """Select one component of a product alphabet, e.g. digit dropping."""
     if not 0 <= which < len(source.components):
         raise ValueError(f"component index {which} out of range")
     table = _grid([g.order for g in source.components])[:, which]
-    return _validated("component", source, source.components[which], table, detail=(which,))
+    return _validated("component", source, source.components[which], table, detail=(int(which),))
 
 
 def product_projection(parts: Sequence[Projection]) -> Projection:
-    """Apply one projection per component of a product alphabet."""
-    parts = tuple(parts)
+    """Apply one projection per component of a product alphabet; one
+    validated object per distinct tuple of parts."""
+    return _product_projection(tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def _product_projection(parts: tuple[Projection, ...]) -> Projection:
     if len(parts) < 2:
         raise ValueError("a product projection needs at least two parts")
     src = ProductGroup(tuple(p.source for p in parts))

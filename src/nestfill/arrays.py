@@ -12,7 +12,9 @@ every ordered level pair in every column pair, ``check_dm`` counts every
 group element in the difference of every column pair i < j (the differences
 of j and i are their negatives, so that ordering passes or fails with it).
 Both count the pairs of a leading column a block of later columns at a time,
-in one ``bincount`` over a column-major copy of the array; ``check_dm``
+in one ``bincount`` over a column-major copy of the array; when every column
+has one order s, ``check_oa`` compares a block's counts with the one number
+n / s^2, and no step of either allocates m^2 cells for m columns; ``check_dm``
 counts a small array (at most 128 cells over at most 16 elements) pair by
 pair in plain Python instead.  The checkers are pure: every call counts.
 
@@ -411,6 +413,16 @@ def check_oa(a: LevelArray) -> Verdict:
     In a block, pair (i, j) owns the ``s_i * s_j`` slots from ``s_i * P[j]``
     on, where ``P[j]`` sums the orders of the block's columns before ``j``,
     and the level pair (l_i, l_j) is slot ``s_i * (l_j + P[j]) + l_i``.
+
+    When every column has the same order ``s``, the divisibility test is the
+    one scalar ``n % s**2``, and a block passes when the minimum of its
+    counts is ``n / s**2`` (they sum to that times their number, so then
+    every count is).  Only a block that fails this compare is searched slot
+    by slot, so the witness is the same as on the general path.  Mixed
+    orders test divisibility per leading column, over the later columns,
+    and compare each slot with its own expected count.  No step allocates
+    m^2 cells: a block holds about 64k cells, and the rest is O(m) per
+    leading column.
     """
     n, m = a.shape
     if n == 0 or m == 0:
@@ -431,11 +443,16 @@ def check_oa(a: LevelArray) -> Verdict:
         return Verdict(True, "oa")
     s = np.array([g.order for g in a.groups], dtype=np.int64)
     width = _block_width(n)
+    uniform = s.min() == s.max()
+    each = n // int(s[0]) ** 2  # a uniform array's count in every slot
     factor = 0
     for i in range(m - 1):
         si = int(s[i])
-        undivided = np.flatnonzero(n % (si * s[i + 1:]))
-        stop = i + 1 + int(undivided[0]) if undivided.size else m
+        if uniform:
+            stop = i + 1 if n % (si * si) else m
+        else:
+            undivided = np.flatnonzero(n % (si * s[i + 1:]))
+            stop = i + 1 + int(undivided[0]) if undivided.size else m
         if stop > i + 1:
             if si != factor:  # one copy per run of leading columns of equal order
                 scaled, before = _block_layout(a.data, s, width)
@@ -443,9 +460,16 @@ def check_oa(a: LevelArray) -> Verdict:
                 factor = si
             col = a.data[:, i].astype(scaled.dtype)
         for j0, j1 in _spans(i + 1, stop, width):
-            sizes = si * s[j0:j1]
             codes = scaled[j0:j1] + (col - int(si * before[j0]))
-            counts = np.bincount(codes.ravel(), minlength=int(sizes.sum()))
+            if uniform:
+                counts = np.bincount(codes.ravel(), minlength=(j1 - j0) * si * si)
+                # the counts sum to each * len(counts): none is below each
+                # only if all equal it
+                if counts.min() == each:
+                    continue
+            else:
+                counts = np.bincount(codes.ravel(), minlength=si * int(s[j0:j1].sum()))
+            sizes = si * s[j0:j1]
             bad = counts != np.repeat(n // sizes, sizes)
             if bad.any():
                 k = int(np.searchsorted(np.cumsum(sizes), bad.argmax(), side="right"))
@@ -641,23 +665,33 @@ def require(obj: LevelArray | NestedPair, kind: str, what: str) -> Verdict:
 
 
 def collapse(a: LevelArray, projections: Sequence[Projection] | Projection) -> LevelArray:
-    """Apply one projection per column; shape is preserved, alphabets change."""
+    """Apply one projection per column; shape is preserved, alphabets change.
+
+    One gather per distinct projection object: a projection serving every
+    column maps the whole array at once, and otherwise the columns of each
+    projection are mapped together."""
     if isinstance(projections, Projection):
         projections = (projections,) * a.n_cols
     projections = tuple(projections)
     if len(projections) != a.n_cols:
         raise ValueError("need exactly one projection per column")
-    cols = []
+    columns: dict[int, list[int]] = {}
     for j, proj in enumerate(projections):
         if proj.source != a.groups[j]:
             raise ValueError(
                 f"projection source {proj.source.describe()} does not match "
                 f"column {j} alphabet {a.groups[j].describe()}"
             )
-        cols.append(proj.np_table()[a.data[:, j]])
+        columns.setdefault(id(proj), []).append(j)
+    if len(columns) == 1:
+        data = projections[0].np_table().take(a.data)
+    else:
+        data = np.empty(a.shape, dtype=INDEX_DTYPE)
+        for js in columns.values():
+            data[:, js] = projections[js[0]].np_table().take(a.data[:, js])
     return LevelArray(
         tuple(p.target for p in projections),
-        _Owned(np.column_stack(cols)),
+        _Owned(data),
         row_labels=a.row_labels,
         label_group=a.label_group,
     )

@@ -301,12 +301,20 @@ def _canonical_directions(size: int, k: int) -> np.ndarray:
 
 
 def _linear_entries(f: Field, rows: np.ndarray, dirs: np.ndarray) -> LevelArray:
-    """Entry (a, b) is the linear form ``sum_i dirs[b, i] * rows[a, i]``."""
+    """Entry (a, b) is the linear form ``sum_i dirs[b, i] * rows[a, i]``.
+
+    Term ``i`` is a row gather: the columns ``dirs[:, i]`` of the
+    multiplication table hold ``x * dirs[b, i]`` for every element ``x``,
+    and row ``rows[a, i]`` of them is the term for every direction at once.
+    The terms are summed through one flat ``take`` of the addition table
+    per coordinate, at cell ``sum * order + term``."""
     g = GaloisGroup(f)
-    add, mul = add_table(g), mul_table(f)
-    data = np.zeros((len(rows), len(dirs)), dtype=INDEX_DTYPE)
-    for i in range(rows.shape[1]):
-        data = add[data, mul[rows[:, i, None], dirs[None, :, i]]]
+    add, mul, s = add_table(g), mul_table(f), f.order
+    data = mul[:, dirs[:, 0]].take(rows[:, 0], axis=0)
+    for i in range(1, rows.shape[1]):
+        data *= s
+        data += mul[:, dirs[:, i]].take(rows[:, i], axis=0)
+        data = add.take(data)
     return LevelArray((g,) * len(dirs), _Owned(data))
 
 

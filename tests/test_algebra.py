@@ -1,6 +1,8 @@
 """Field arithmetic, group alphabets, and projection properties."""
 
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from nestfill.algebra import (
     GaloisGroup,
     ProductGroup,
     ResidueGroup,
+    _find_factor,
     _vectors,
     add_table,
     component,
@@ -23,6 +26,7 @@ from nestfill.algebra import (
     modulus,
     product_projection,
     project,
+    projection_to_dict,
     poly_parse,
     poly_text,
     residue,
@@ -317,6 +321,103 @@ def test_projection_table_is_built_once_and_read_only(gf8):
     assert tab is p.np_table()
     assert not tab.flags.writeable
     assert tab.tolist() == list(p.table)
+
+
+# ---------------------------------------------------------------------------
+# validation once per value: trial division and the projection builders
+# ---------------------------------------------------------------------------
+
+# each builder with a call that builds its arguments anew
+BUILDER_CALLS = [
+    ("identity", lambda: identity_projection(GaloisGroup(field_make(3, 2)))),
+    ("truncation", lambda: truncation(field_make(2, 3), field_make(2, 2))),
+    ("modulus", lambda: modulus(field_make(3, 3), field_make(3, 2))),
+    ("residue", lambda: residue(ResidueGroup(12), 4)),
+    ("component", lambda: component(ProductGroup((ResidueGroup(2), ResidueGroup(6))), 1)),
+    ("product", lambda: product_projection([residue(6, 3), identity_projection(ResidueGroup(2))])),
+]
+
+
+@pytest.mark.parametrize("label,make", BUILDER_CALLS, ids=[c[0] for c in BUILDER_CALLS])
+def test_equal_arguments_give_one_projection(label, make):
+    assert make() is make()
+
+
+def test_product_projection_keys_on_the_parts_not_their_container():
+    parts = [residue(6, 3), identity_projection(ResidueGroup(2))]
+    copies = [dataclasses.replace(q) for q in parts]
+    assert copies[0] is not parts[0] and copies == parts
+    assert product_projection(parts) is product_projection(tuple(copies))
+
+
+def test_each_polynomial_is_divided_through_once():
+    _find_factor.cache_clear()
+    polys = [None, "x^4+x^3+1", (1, 0, 0, 1, 1)]  # x^4+x+1, and two spellings of another
+    fields = [field_make(2, 4, poly) for _ in range(3) for poly in polys]
+    info = _find_factor.cache_info()
+    assert (info.misses, info.hits) == (2, 7)
+    # every Field is still its own validated object
+    assert fields[0] == fields[3] and fields[0] is not fields[3]
+
+
+def test_refusals_are_not_cached():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reducible over Z_2: divisible by x\\+1"):
+            field_make(2, 2, "x^2+1")
+        with pytest.raises(ValueError, match="needs 4 to divide 6"):
+            residue(6, 4)
+
+
+def test_numpy_integers_are_recorded_as_ints():
+    """Whichever equal argument builds a projection first, it records plain
+    ints, so every caller's bundle can be written as JSON."""
+    for builder in (residue, component, identity_projection, modulus):
+        builder.cache_clear()
+    pg = ProductGroup((ResidueGroup(2), ResidueGroup(5)))
+    first = [
+        residue(10, np.int64(5)),
+        component(pg, np.int64(1)),
+        identity_projection(ResidueGroup(np.int64(14))),
+        modulus(Field(np.int64(3), np.int64(2), (2, 1, 1)), field_make(3, 1)),
+    ]
+    again = [residue(10, 5), component(pg, 1), identity_projection(ResidueGroup(14)), modulus(field_make(3, 2), field_make(3, 1))]
+    for a, b in zip(first, again):
+        assert a == b
+        json.dumps([projection_to_dict(a), projection_to_dict(b)])
+    # a float or a bool is refused, not answered from an equal int's entry
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        residue(10, 5.0)
+    with pytest.raises(TypeError):
+        component(pg, True)
+
+
+@pytest.mark.parametrize(
+    "make, what",
+    [
+        (lambda: ResidueGroup(6.0), "modulus"),
+        (lambda: ResidueGroup(True), "modulus"),
+        (lambda: ResidueGroup("6"), "modulus"),
+        (lambda: Field(2.0, 3, (1, 1, 0, 1)), "characteristic"),
+        (lambda: Field(2, True, (1, 1)), "extension degree"),
+    ],
+    ids=["Z_6.0", "Z_True", "Z_'6'", "GF(2.0^3)", "GF(2^True)"],
+)
+def test_alphabet_parameters_must_be_integers(make, what):
+    """Z_6.0 would equal Z_6, and GF(2.0^3) GF(2^3), and be answered from
+    their cached tables, factors and projections."""
+    field_make(2, 3), field_make(2, 1), ResidueGroup(6)  # the equal alphabets, built first
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        make()
+
+
+def test_a_shared_projection_is_frozen_and_read_only(gf8, gf4):
+    shared = modulus(gf8, gf4)
+    assert modulus(field_make(2, 3), field_make(2, 2)) is shared
+    assert not shared.np_table().flags.writeable
+    with pytest.raises(ValueError):
+        shared.np_table()[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.kind = "identity"
 
 
 # ---------------------------------------------------------------------------

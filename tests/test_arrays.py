@@ -1,5 +1,6 @@
 """Checkers, structural operations, and the CSV/JSON formats."""
 
+import dataclasses
 import itertools
 import json
 
@@ -150,6 +151,35 @@ def test_collapse_any_balanced_projection_keeps_oa(gf4, gf8):
     ]
     for arr, proj in cases:
         assert check_oa(collapse(arr, proj))
+
+
+def _collapse_per_column(a, projections):
+    """The reference: one gather per column, stacked."""
+    return np.column_stack([p.np_table()[a.data[:, j]] for j, p in enumerate(projections)])
+
+
+def test_collapse_interleaved_and_equal_projections_match_per_column(gf8, gf4):
+    """Columns of a mixed array collapse by interleaved projections, and by
+    two equal but distinct projection objects, exactly as column by column."""
+    g8, z6 = GaloisGroup(gf8), ResidueGroup(6)
+    groups = (g8, z6, g8, z6, g8)
+    arr = LevelArray(groups, np.random.default_rng(0).integers(0, [g.order for g in groups], size=(64, 5)))
+    trunc, res = truncation(gf8, gf4), residue(z6, 3)
+    twin = dataclasses.replace(trunc)
+    assert twin == trunc and twin is not trunc
+    for projections in [
+        (trunc, res, modulus(gf8, field_make(2, 1)), residue(z6, 2), trunc),
+        (trunc, identity_projection(z6), twin, res, twin),
+        (identity_projection(g8), res, identity_projection(g8), res, identity_projection(g8)),
+    ]:
+        out = collapse(arr, projections)
+        assert out.groups == tuple(p.target for p in projections)
+        assert np.array_equal(out.data, _collapse_per_column(arr, projections))
+    # one projection for every column, given once or per column
+    rh = rao_hamming_oa(gf8, 2)
+    ref = _collapse_per_column(rh, (trunc,) * rh.n_cols)
+    for projections in [trunc, (trunc,) * rh.n_cols, (trunc, twin) * (rh.n_cols // 2) + (trunc,)]:
+        assert np.array_equal(collapse(rh, projections).data, ref)
 
 
 def test_collapse_source_mismatch(gf4, gf8):

@@ -223,6 +223,27 @@ def test_verify_non_text_row_label_exit_4(tmp_path, capsys, label):
     assert capsys.readouterr().err.startswith("error: malformed bundle")
 
 
+@pytest.mark.parametrize("where", ["columns", "projection source", "residue target"])
+def test_non_integral_residue_modulus_exit_4(tmp_path, capsys, where):
+    """A column over Z_6.0 used to load and then crash the counting with a
+    TypeError, exit 1."""
+    prefix = str(tmp_path / "b")
+    assert run("construct", "zerosum", "s1=6", "s2=3", "--out", prefix) == 0
+    meta = json.loads((tmp_path / "b.json").read_text())
+    for column, proj in zip(meta["columns"], meta["nested"]["projections"]):
+        if where == "columns":
+            column["s"] = 6.0
+        elif where == "projection source":
+            proj["source"]["s"] = 6.0
+        else:
+            proj["a"] = 3.0
+    (tmp_path / "b.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    for argv in (["info", prefix], ["verify", "noa", prefix]):
+        assert run(*argv) == 4
+        assert capsys.readouterr().err.startswith("error: malformed bundle")
+
+
 def _process(*argv, timeout=None, memory_mib=None):
     """``nestfill.cli`` run as a process; a run past ``timeout`` seconds
     raises ``subprocess.TimeoutExpired``, and with ``memory_mib`` its

@@ -16,6 +16,7 @@ from nestfill import arrays, constructions
 from nestfill.algebra import (
     GaloisGroup,
     ResidueGroup,
+    _vectors,
     field_make,
     identity_projection,
     modulus,
@@ -201,6 +202,46 @@ def test_p3_unknown_instance():
 # ---------------------------------------------------------------------------
 # linear orthogonal arrays and the modulus-collapse family
 # ---------------------------------------------------------------------------
+
+
+#: Every field of order up to 32: (p, u, defining polynomial), None for the
+#: catalog default.
+FIELDS_TO_32 = [(2, u, None) for u in range(1, 6)] + [(3, u, None) for u in range(1, 4)] + [
+    (5, 1, None), (7, 1, None), (5, 2, "x^2+x+2"),
+] + [(p, 1, "x+1") for p in (11, 13, 17, 19, 23, 29, 31)]
+
+
+@st.composite
+def linear_inputs(draw):
+    """A field, some vectors of GF(s)^k as rows and a subset of the
+    canonical directions, both in drawn order."""
+    p, u, poly = draw(st.sampled_from(FIELDS_TO_32))
+    f = field_make(p, u, poly)
+    k = draw(st.integers(2, 3))
+    dirs = constructions._canonical_directions(f.order, k)
+    pick = draw(st.lists(st.integers(0, len(dirs) - 1), min_size=1, max_size=8, unique=True))
+    rows = draw(st.lists(st.integers(0, f.order**k - 1), min_size=1, max_size=24, unique=True))
+    return f, _vectors(f.order, k)[rows], dirs[pick]
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_inputs())
+def test_linear_entries_match_scalar_field_arithmetic(drawn):
+    """The row gathers of ``_linear_entries`` against ``Field.add`` and
+    ``Field.mul`` on elements, one term at a time."""
+    f, rows, dirs = drawn
+    out = constructions._linear_entries(f, rows, dirs)
+    want = []
+    for r in rows.tolist():
+        line = []
+        for d in dirs.tolist():
+            acc = f.zero
+            for x, c in zip(r, d):
+                acc = f.add(acc, f.mul(f.element(x), f.element(c)))
+            line.append(f.index(acc))
+        want.append(line)
+    assert out.data.tolist() == want
+    assert out.groups == (GaloisGroup(f),) * len(dirs)
 
 
 def test_rao_hamming_smallest(gf2):

@@ -10,6 +10,7 @@ arrays cross block boundaries the way large arrays do, and run both of
 """
 
 import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -217,6 +218,22 @@ def test_near_orthogonal_arrays_match_reference(data):
     assert_same(LevelArray(groups, grid), WIDTHS)
 
 
+def _late_swap(data: np.ndarray, i: int, j: int) -> np.ndarray | None:
+    """``data`` with two cells of column ``j`` swapped between rows that
+    agree on columns ``0..i-1`` and differ on columns ``i`` and ``j``, or
+    None if there are no such rows.  Swapping keeps every pair (i', j),
+    i' < i, balanced, so on an array that passed, the first unbalanced pair
+    is (i, j)."""
+    for r1 in range(data.shape[0]):
+        same = (data[:, :i] == data[r1, :i]).all(axis=1)
+        rows = np.flatnonzero(same & (data[:, i] != data[r1, i]) & (data[:, j] != data[r1, j]))
+        if rows.size:
+            out = data.copy()
+            out[[r1, rows[0]], j] = out[[rows[0], r1], j]
+            return out
+    return None
+
+
 def _passing_dms():
     gf2, gf3, gf4, gf8 = (field_make(*pu) for pu in [(2, 1), (3, 1), (2, 2), (2, 3)])
     z3, z2z2 = ResidueGroup(3), ProductGroup((ResidueGroup(2), ResidueGroup(2)))
@@ -250,9 +267,22 @@ PASSING = _passing_dms() + _passing_oas()
 @given(st.data())
 def test_planted_defects_match_reference(data):
     """Known OAs and DMs with one swapped pair or changed cell at a random
-    position, counted at several block widths."""
+    position, counted at several block widths.  Some swaps are placed so
+    that the only defect lies in pair (i, j) with i > 0, which at the
+    narrow widths puts it in a later block of a later leading column, and
+    on arrays of one order in the uniform path's compare."""
     a = data.draw(st.sampled_from(PASSING))
-    planted = LevelArray(a.groups, _plant(a.data, a.groups, data.draw))
+    m = a.n_cols
+    if m >= 3 and data.draw(st.booleans()):
+        i = data.draw(st.integers(1, m - 2))
+        j = data.draw(st.integers(i + 1, m - 1))
+        grid = _late_swap(a.data, i, j)
+        assume(grid is not None)
+        planted = LevelArray(a.groups, grid)
+        if reference_check_oa(a):
+            assert reference_check_oa(planted).witness["columns"] == (i, j)
+    else:
+        planted = LevelArray(a.groups, _plant(a.data, a.groups, data.draw))
     assert_same(planted, WIDTHS)
 
 
@@ -267,7 +297,10 @@ def test_passing_objects_match_reference():
 
 def test_defect_past_the_first_block_at_library_width():
     """At 4096 rows the library counts 16 columns a block; a swap in column
-    20 is found in the second block with the reference's witness."""
+    20 is found in the second block with the reference's witness.  So are
+    swaps whose only unbalanced pair has a later leading column: (1, 30),
+    in the second block of column 1, and (2, 33), in the third block of
+    column 2.  (Rows that agree on columns 0..2 agree everywhere.)"""
     gf16 = field_make(2, 4)
     big = kronecker_add(rao_hamming_oa(gf16, 2), subcols(mult_table(gf16), [0, 1]))
     assert arrays._block_width(big.n_rows) <= 20
@@ -281,6 +314,11 @@ def test_defect_past_the_first_block_at_library_width():
     v = check_oa(planted)
     assert not v and v.witness["columns"] == (0, 20)
     assert v == reference_check_oa(planted)
+    for i, j in [(1, 30), (2, 33)]:
+        planted = LevelArray(big.groups, _late_swap(big.data, i, j))
+        v = check_oa(planted)
+        assert not v and v.witness["columns"] == (i, j)
+        assert v == reference_check_oa(planted)
 
 
 def test_degenerate_shapes_match_reference():
@@ -294,9 +332,34 @@ def test_degenerate_shapes_match_reference():
         LevelArray((gf4,), np.array([[0], [1], [1], [3]])),
         LevelArray((gf4,), np.arange(3)[:, None]),
         LevelArray((z6,), np.arange(12)[:, None] % 6),
+        # one order throughout, rows divisible by s but not by s^2
+        LevelArray((gf4,) * 3, rao_hamming_oa(field_make(2, 2), 2).data[:8, :3]),
+        LevelArray((z6,) * 4, np.arange(48).reshape(12, 4) % 6),
     ]
     for a in cases:
         assert_same(a, WIDTHS)
+
+
+def test_check_oa_allocates_no_m_squared_temporary():
+    """Over 3000 columns an m x m table of counts or orders would be 9M
+    cells; the counting stays under 2 MiB, uniform and mixed orders alike."""
+    gf2 = GaloisGroup(field_make(2, 1))
+    uniform = LevelArray((gf2,) * 3000, np.tile([[0], [0], [1], [1]], (1, 3000)))
+    # three orthogonal GF(2) columns and 2997 constant ones over Z_1: mixed
+    # orders, and every pair balanced, so every leading column is counted
+    cols = np.zeros((4, 3000), dtype=np.int64)
+    cols[:, :3] = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    mixed = LevelArray((gf2,) * 3 + (ResidueGroup(1),) * 2997, cols)
+    for a, passes in [(uniform, False), (mixed, True)]:
+        tracemalloc.start()
+        try:
+            v = check_oa(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bool(v) == passes
+        assert peak < 2 * 2**20, peak
+    assert check_oa(uniform) == reference_check_oa(uniform)
 
 
 def test_dm_counts_only_one_ordering():
