@@ -17,15 +17,9 @@ from .algebra import (
     ResidueGroup,
     component,
     field_make,
-    gf_add,
-    gf_mul,
-    gf_sub,
-    group_add,
-    group_sub,
     identity_projection,
     modulus,
     product_projection,
-    project,
     residue,
     truncation,
 )

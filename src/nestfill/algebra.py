@@ -25,11 +25,16 @@ Representation conventions, used everywhere in the package:
 Index tables are the single arithmetic core.  ``add_table``, ``neg_table``,
 ``sub_table`` and, for fields, ``mul_table`` are cached read-only arrays
 over element indices; constructions, projections and verifiers all work on
-them.  ``GfElem`` and the scalar ``Field.add``/``neg``/``mul`` methods are
-views for the API and file edges, where single elements are parsed, printed
-or compared.  The projection builders keep one validated object per
-distinct argument, like the tables; refusals are not cached, so a bad
-argument raises on every call.  ``texts_at`` and ``parse_indices`` are the
+them.  ``GfElem`` and the scalar ``add``/``neg`` methods of every alphabet
+(and ``Field.mul``) are views for the API and file edges, where single
+elements are parsed, printed or compared; they are the only scalar entry
+points.  Each projection builder has one argument spelling:
+``truncation(f1, f2)`` and ``modulus(f1, f2)`` take two ``Field`` objects,
+``residue(s, a)`` two integer orders, ``component(g, which)`` a
+``ProductGroup`` and a position, and ``product_projection(parts)`` one
+projection per component.  Each keeps one validated object per distinct
+argument, like the tables; refusals are not cached, so a bad argument
+raises on every call.  ``texts_at`` and ``parse_indices`` are the
 text edge, so files are read and written one lookup per cell: through
 ``text_codec``, per alphabet the canonical text of every index and the map
 back, except in a residue ring, whose cells are decimal integers read and
@@ -60,19 +65,14 @@ __all__ = [
     "poly_text",
     "poly_parse",
     "poly_mul",
-    "poly_divmod",
+    "poly_mod",
     "GfElem",
     "Field",
     "field_make",
-    "gf_add",
-    "gf_sub",
-    "gf_mul",
     "Group",
     "GaloisGroup",
     "ResidueGroup",
     "ProductGroup",
-    "group_add",
-    "group_sub",
     "add_table",
     "mul_table",
     "neg_table",
@@ -87,8 +87,6 @@ __all__ = [
     "residue",
     "component",
     "product_projection",
-    "project",
-    "rho",
     "group_to_dict",
     "group_from_dict",
     "projection_to_dict",
@@ -187,30 +185,22 @@ def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     return poly_trim(out)
 
 
-def poly_divmod(
-    num: Sequence[int], den: Sequence[int], p: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Quotient and remainder of ``num`` by a monic ``den`` over Z_p."""
+def poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[int, ...]:
+    """Remainder of ``num`` by a monic ``den`` over Z_p."""
     den = poly_trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     if den[-1] != 1:
         raise ValueError("divisor must be monic")
     rem = list(poly_trim(num))
-    quot = [0] * max(1, len(rem) - len(den) + 1)
     d = len(den) - 1
     while len(rem) - 1 >= d and rem:
         shift = len(rem) - 1 - d
         coef = rem[-1]
-        quot[shift] = coef
         for i, c in enumerate(den):
             rem[shift + i] = (rem[shift + i] - coef * c) % p
         rem = list(poly_trim(rem))
-    return poly_trim(quot), poly_trim(rem)
-
-
-def poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
-    return poly_divmod(a, m, p)[1]
+    return tuple(rem)
 
 
 def poly_text(coeffs: Sequence[int]) -> str:
@@ -301,7 +291,8 @@ class Field:
     ----------
     p : prime characteristic.
     u : extension degree, at least 1.
-    irreducible : monic degree-u polynomial over Z_p, constant term first.
+    irreducible : monic degree-u polynomial over Z_p, constant term first,
+        with integer coefficients (a float or a bool is refused).
         Irreducibility is verified by exhaustive trial division, once per
         distinct polynomial and characteristic (``_find_factor`` is cached);
         every construction checks the rest anew, and a reducible input
@@ -322,7 +313,7 @@ class Field:
             raise ValueError(f"field order {self.p}^{self.u} exceeds the supported maximum {MAX_FIELD_ORDER}")
         if prime_power(self.p) != (self.p, 1):
             raise ValueError(f"characteristic {self.p} is not prime")
-        poly = tuple(int(c) % self.p for c in self.irreducible)
+        poly = tuple(_integer(c, "polynomial coefficient") % self.p for c in self.irreducible)
         object.__setattr__(self, "irreducible", poly)
         if len(poly) != self.u + 1 or poly[-1] != 1:
             raise ValueError(
@@ -374,9 +365,6 @@ class Field:
         self._check(a)
         return GfElem(tuple((-x) % self.p for x in a.coeffs))
 
-    def sub(self, a: GfElem, b: GfElem) -> GfElem:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: GfElem, b: GfElem) -> GfElem:
         self._check(a)
         self._check(b)
@@ -412,20 +400,7 @@ def field_make(
         irreducible = catalog.default_irreducible(p, u)
     if isinstance(irreducible, str):
         irreducible = poly_parse(irreducible, p)
-    coeffs = tuple(int(c) for c in irreducible)
-    return Field(p, u, coeffs)
-
-
-def gf_add(f: Field, a: GfElem, b: GfElem) -> GfElem:
-    return f.add(a, b)
-
-
-def gf_sub(f: Field, a: GfElem, b: GfElem) -> GfElem:
-    return f.sub(a, b)
-
-
-def gf_mul(f: Field, a: GfElem, b: GfElem) -> GfElem:
-    return f.mul(a, b)
+    return Field(p, u, irreducible)
 
 
 # ---------------------------------------------------------------------------
@@ -695,15 +670,6 @@ def parse_indices(g: Group, texts: Sequence[str]) -> np.ndarray:
     return np.fromiter(read, INDEX_DTYPE, len(texts))
 
 
-def group_add(g: Group, a, b):
-    """Addition in the alphabet ``g``; the universal array operation."""
-    return g.add(a, b)
-
-
-def group_sub(g: Group, a, b):
-    return g.add(a, g.neg(b))
-
-
 @lru_cache(maxsize=None)
 def add_table(g: Group) -> np.ndarray:
     """Index-level addition table of ``g`` as a read-only (order, order) array."""
@@ -843,11 +809,6 @@ class Projection:
         return f"{self.kind}: {self.source.describe()} -> {self.target.describe()}"
 
 
-def project(spec: Projection, e):
-    """Image of element ``e`` under ``spec``."""
-    return spec.target.element(spec.table[spec.source.index(e)])
-
-
 def _validated(kind: str, source: Group, target: Group, table: Sequence[int], detail: tuple = ()) -> Projection:
     table = tuple(int(t) for t in table)
     if len(table) != source.order:
@@ -870,16 +831,25 @@ def _validated(kind: str, source: Group, target: Group, table: Sequence[int], de
     return Projection(kind, source, target, table, detail)
 
 
+_KIND_NAMES = {GaloisGroup: "a Galois field", ResidueGroup: "a residue ring", ProductGroup: "a product"}
+
+
+def _of_kind(g: Group, kind: type[Group], projection: str) -> Group:
+    """``g``, or a ``ValueError`` naming the kind of alphabet that a
+    ``projection`` projection needs."""
+    if not isinstance(g, kind):
+        raise ValueError(f"a {projection} projection needs {_KIND_NAMES[kind]} alphabet, not {g.describe()}")
+    return g
+
+
 @lru_cache(maxsize=None)
 def identity_projection(g: Group) -> Projection:
     return _validated("identity", g, g, range(g.order))
 
 
 @lru_cache(maxsize=None)
-def truncation(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Projection:
+def truncation(f1: Field, f2: Field) -> Projection:
     """Drop all terms of degree >= u2; the Bose-Bush style collapse."""
-    f1 = source.field if isinstance(source, GaloisGroup) else source
-    f2 = target.field if isinstance(target, GaloisGroup) else target
     if f1.p != f2.p:
         raise ValueError("truncation requires matching characteristics")
     if f2.u > f1.u:
@@ -889,10 +859,8 @@ def truncation(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Proj
 
 
 @lru_cache(maxsize=None)
-def modulus(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Projection:
+def modulus(f1: Field, f2: Field) -> Projection:
     """Reduce each element modulo the target's defining polynomial."""
-    f1 = source.field if isinstance(source, GaloisGroup) else source
-    f2 = target.field if isinstance(target, GaloisGroup) else target
     if f1.p != f2.p:
         raise ValueError("modulus requires matching characteristics")
     if f2.u > f1.u:
@@ -903,9 +871,9 @@ def modulus(source: Field | GaloisGroup, target: Field | GaloisGroup) -> Project
 
 # typed: 3.0 and True are equal keys to 3 and 1, and must still be refused
 @lru_cache(maxsize=None, typed=True)
-def residue(source: int | ResidueGroup, a: int) -> Projection:
-    """The map u -> u mod a on a residue ring."""
-    src = source if isinstance(source, ResidueGroup) else ResidueGroup(source)
+def residue(s: int, a: int) -> Projection:
+    """The map u -> u mod a from Z_s onto Z_a."""
+    src = ResidueGroup(s)
     if a < 1:
         raise ValueError("residue modulus must be positive")
     if src.modulus % a:
@@ -919,6 +887,7 @@ def residue(source: int | ResidueGroup, a: int) -> Projection:
 @lru_cache(maxsize=None, typed=True)
 def component(source: ProductGroup, which: int) -> Projection:
     """Select one component of a product alphabet, e.g. digit dropping."""
+    _of_kind(source, ProductGroup, "component")
     if not 0 <= which < len(source.components):
         raise ValueError(f"component index {which} out of range")
     table = _grid([g.order for g in source.components])[:, which]
@@ -941,11 +910,6 @@ def _product_projection(parts: tuple[Projection, ...]) -> Projection:
     images = [p.np_table()[dig[:, k]] for k, p in enumerate(parts)]
     table = np.ravel_multi_index(images, [p.target.order for p in parts])
     return _validated("product", src, tgt, table, detail=parts)
-
-
-def rho(a: int, u: int) -> int:
-    """Integer residue map, ``u mod a``; the scalar form of ``residue``."""
-    return u % a
 
 
 # ---------------------------------------------------------------------------
@@ -1004,11 +968,13 @@ def projection_from_dict(d: dict) -> Projection:
     if kind == "identity":
         return identity_projection(source)
     if kind == "truncation":
-        return truncation(source, group_from_dict(d["target"]))
+        target = group_from_dict(d["target"])
+        return truncation(_of_kind(source, GaloisGroup, kind).field, _of_kind(target, GaloisGroup, kind).field)
     if kind == "modulus":
-        return modulus(source, group_from_dict(d["target"]))
+        target = group_from_dict(d["target"])
+        return modulus(_of_kind(source, GaloisGroup, kind).field, _of_kind(target, GaloisGroup, kind).field)
     if kind == "residue":
-        return residue(source, d["a"])
+        return residue(_of_kind(source, ResidueGroup, kind).modulus, d["a"])
     if kind == "component":
         return component(source, d["which"])
     if kind == "product":

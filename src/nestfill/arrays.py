@@ -285,15 +285,6 @@ class LevelArray(_Value):
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
-    def entry(self, i: int, j: int):
-        return self.groups[j].element(int(self.data[i, j]))
-
-    def entry_text(self, i: int, j: int) -> str:
-        return self.groups[j].text_at(int(self.data[i, j]))
-
-    def row_texts(self, i: int) -> list[str]:
-        return [g.text_at(v) for g, v in zip(self.groups, self.data[i].tolist())]
-
     def texts(self) -> list[list[str]]:
         """Canonical text of every entry, rendered one column at a time."""
         grid = np.empty(self.shape, dtype=object)

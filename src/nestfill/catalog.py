@@ -6,15 +6,10 @@ Wu 2009) and parsed by the element parsers, so any transcription slip
 surfaces as a checker failure at load time rather than a silently wrong
 answer.  Every entry is verified by its declared checker the first time it
 is requested, then cached.
-
-The resource directory can be overridden with the ``NESTFILL_CATALOG``
-environment variable, which is mainly useful for testing corrupted data
-handling.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -63,10 +58,6 @@ class CatalogEntry:
 
 
 def _data_text(filename: str) -> str:
-    override = os.environ.get("NESTFILL_CATALOG")
-    if override:
-        with open(os.path.join(override, filename)) as fh:
-            return fh.read()
     return resources.files(__package__).joinpath("_data").joinpath(filename).read_text()
 
 

@@ -436,7 +436,7 @@ def zero_sum_noa(s1: int, s2: int) -> NestedPair:
     ij = _grid((s1, s1))
     parent = LevelArray((g,) * 3, _Owned(np.column_stack([ij, -ij.sum(axis=1, dtype=INDEX_DTYPE) % s1])))
     child_rows = tuple(np.flatnonzero((ij < s2).all(axis=1)))
-    proj = residue(g, s2)
+    proj = residue(s1, s2)
     pair = NestedPair(parent, child_rows, (proj,) * 3)
     require(pair, "noa", f"zero_sum_noa({s1}, {s2})")
     return pair

@@ -19,18 +19,13 @@ from nestfill.algebra import (
     component,
     digits,
     field_make,
-    gf_add,
-    gf_mul,
-    group_add,
     identity_projection,
     modulus,
     product_projection,
-    project,
     projection_to_dict,
     poly_parse,
     poly_text,
     residue,
-    rho,
     truncation,
 )
 from nestfill.constructions import full_factorial
@@ -47,8 +42,8 @@ def test_gf4_elements_in_lex_order(gf4):
 
 def test_gf4_multiplication_table_row_x(gf4):
     x = gf4.parse("x")
-    assert gf4.text(gf_mul(gf4, x, x)) == "x+1"
-    assert gf4.text(gf_mul(gf4, x, gf4.parse("x+1"))) == "1"
+    assert gf4.text(gf4.mul(x, x)) == "x+1"
+    assert gf4.text(gf4.mul(x, gf4.parse("x+1"))) == "1"
 
 
 def test_gf2_is_z2():
@@ -94,29 +89,29 @@ def test_non_monic_rejected():
 
 def test_gf8_add_self_inverse(gf8):
     x2 = gf8.parse("x^2")
-    assert gf8.text(gf_add(gf8, x2, x2)) == "0"
+    assert gf8.text(gf8.add(x2, x2)) == "0"
 
 
 def test_gf4_char2_cancellation(gf4):
-    assert gf4.text(gf_add(gf4, gf4.parse("x"), gf4.parse("x+1"))) == "1"
+    assert gf4.text(gf4.add(gf4.parse("x"), gf4.parse("x+1"))) == "1"
 
 
 def test_gf9_componentwise_mod3_addition(gf9):
-    assert gf9.text(gf_add(gf9, gf9.parse("x+1"), gf9.parse("x+2"))) == "2x"
+    assert gf9.text(gf9.add(gf9.parse("x+1"), gf9.parse("x+2"))) == "2x"
 
 
 def test_gf8_mul_matches_published_table(gf8):
-    assert gf8.text(gf_mul(gf8, gf8.parse("x^2"), gf8.parse("x"))) == "x+1"
+    assert gf8.text(gf8.mul(gf8.parse("x^2"), gf8.parse("x"))) == "x+1"
 
 
 def test_mul_by_zero_annihilates(gf8):
     for e in gf8.elements():
-        assert gf_mul(gf8, e, gf8.zero) == gf8.zero
+        assert gf8.mul(e, gf8.zero) == gf8.zero
 
 
 def test_mismatched_field_element_rejected(gf4, gf8):
     with pytest.raises(ValueError):
-        gf_add(gf4, gf4.parse("x"), gf8.parse("x^2"))
+        gf4.add(gf4.parse("x"), gf8.parse("x^2"))
 
 
 @pytest.mark.parametrize("p,u", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)])
@@ -180,7 +175,7 @@ def test_element_text_round_trip_gf81(idx):
 
 def test_residue_group_add():
     z12 = ResidueGroup(12)
-    assert group_add(z12, 7, 8) == 3
+    assert z12.add(7, 8) == 3
 
 
 def test_product_group_add_and_text():
@@ -217,9 +212,14 @@ def test_galois_group_matches_z2_square(gf4):
 # ---------------------------------------------------------------------------
 
 
+def image(spec, e):
+    """Image of element ``e`` under ``spec``, through its table."""
+    return spec.target.element(spec.table[spec.source.index(e)])
+
+
 def test_truncation_example(gf8, gf4):
     phi = truncation(gf8, gf4)
-    assert gf4.text(project(phi, gf8.parse("x^2+1"))) == "1"
+    assert gf4.text(image(phi, gf8.parse("x^2+1"))) == "1"
     fibers = {}
     for i in range(8):
         fibers.setdefault(phi.table[i], []).append(phi.source.text_at(i))
@@ -229,13 +229,13 @@ def test_truncation_example(gf8, gf4):
 
 def test_modulus_example(gf8, gf4):
     var = modulus(gf8, gf4)
-    assert gf4.text(project(var, gf8.parse("x^2"))) == "x+1"
-    assert gf4.text(project(var, gf8.parse("x^2+x+1"))) == "0"
+    assert gf4.text(image(var, gf8.parse("x^2"))) == "x+1"
+    assert gf4.text(image(var, gf8.parse("x^2+x+1"))) == "0"
 
 
 def test_residue_example():
     r = residue(6, 3)
-    assert project(r, 4) == 1
+    assert image(r, 4) == 1
 
 
 def test_residue_requires_divisor():
@@ -246,13 +246,13 @@ def test_residue_requires_divisor():
 def test_component_selection():
     pg = ProductGroup((ResidueGroup(2), ResidueGroup(6)))
     sel = component(pg, 1)
-    assert project(sel, (1, 4)) == 4
+    assert image(sel, (1, 4)) == 4
 
 
 def test_projection_outside_source_rejected(gf8, gf4):
     phi = truncation(gf8, gf4)
     with pytest.raises(ValueError):
-        project(phi, gf4.parse("x"))
+        image(phi, gf4.parse("x"))
 
 
 def test_modulus_characteristic_mismatch(gf8, gf9):
@@ -297,22 +297,24 @@ def test_product_projection_homomorphism(gf4):
 @pytest.mark.parametrize("a,b", [(6, 3), (6, 2), (12, 6), (12, 4), (12, 3)])
 def test_rho_composition(a, b):
     # rho_b after rho_a equals rho_b whenever b divides a
+    to_a, to_b = residue(3 * a, a).table, residue(3 * a, b).table
     for u in range(3 * a):
-        assert rho(b, rho(a, u)) == rho(b, u)
+        assert residue(a, b).table[to_a[u]] == to_b[u] == u % b
 
 
 def test_rho_of_sum():
     for a in (3, 6, 12):
+        rho_a = residue(4 * a, a).table
         for u1 in range(2 * a):
             for u2 in range(2 * a):
-                assert rho(a, u1 + u2) == rho(a, rho(a, u1) + rho(a, u2))
+                assert rho_a[u1 + u2] == rho_a[rho_a[u1] + rho_a[u2]] == (u1 + u2) % a
 
 
 def test_identity_projection_round_trip(gf8):
     g = GaloisGroup(gf8)
     ident = identity_projection(g)
     for e in gf8.elements():
-        assert project(ident, e) == e
+        assert image(ident, e) == e
 
 
 def test_projection_table_is_built_once_and_read_only(gf8):
@@ -332,7 +334,7 @@ BUILDER_CALLS = [
     ("identity", lambda: identity_projection(GaloisGroup(field_make(3, 2)))),
     ("truncation", lambda: truncation(field_make(2, 3), field_make(2, 2))),
     ("modulus", lambda: modulus(field_make(3, 3), field_make(3, 2))),
-    ("residue", lambda: residue(ResidueGroup(12), 4)),
+    ("residue", lambda: residue(12, 4)),
     ("component", lambda: component(ProductGroup((ResidueGroup(2), ResidueGroup(6))), 1)),
     ("product", lambda: product_projection([residue(6, 3), identity_projection(ResidueGroup(2))])),
 ]
@@ -384,9 +386,13 @@ def test_numpy_integers_are_recorded_as_ints():
     for a, b in zip(first, again):
         assert a == b
         json.dumps([projection_to_dict(a), projection_to_dict(b)])
+    f = Field(2, 3, np.array([1, 1, 0, 1]))
+    assert f == field_make(2, 3) and all(type(c) is int for c in f.irreducible)
     # a float or a bool is refused, not answered from an equal int's entry
     with pytest.raises(ValueError, match="modulus must be an integer"):
         residue(10, 5.0)
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        residue(10.0, 5)
     with pytest.raises(TypeError):
         component(pg, True)
 
@@ -399,12 +405,16 @@ def test_numpy_integers_are_recorded_as_ints():
         (lambda: ResidueGroup("6"), "modulus"),
         (lambda: Field(2.0, 3, (1, 1, 0, 1)), "characteristic"),
         (lambda: Field(2, True, (1, 1)), "extension degree"),
+        (lambda: Field(2, 3, (1.5, 1, 0, 1)), "polynomial coefficient"),
+        (lambda: field_make(2, 3, [1.5, 1, 0, 1]), "polynomial coefficient"),
+        (lambda: Field(2, 3, (True, 1, 0, 1)), "polynomial coefficient"),
     ],
-    ids=["Z_6.0", "Z_True", "Z_'6'", "GF(2.0^3)", "GF(2^True)"],
+    ids=["Z_6.0", "Z_True", "Z_'6'", "GF(2.0^3)", "GF(2^True)", "1.5+x+x^3", "field_make-1.5", "True+x+x^3"],
 )
 def test_alphabet_parameters_must_be_integers(make, what):
     """Z_6.0 would equal Z_6, and GF(2.0^3) GF(2^3), and be answered from
-    their cached tables, factors and projections."""
+    their cached tables, factors and projections; a coefficient 1.5 was
+    read as 1."""
     field_make(2, 3), field_make(2, 1), ResidueGroup(6)  # the equal alphabets, built first
     with pytest.raises(ValueError, match=f"{what} must be an integer"):
         make()
@@ -428,11 +438,11 @@ def test_a_shared_projection_is_frozen_and_read_only(gf8, gf4):
 SMALL = [
     (GaloisGroup(field_make(2, 1)), []),
     (GaloisGroup(field_make(3, 1)), []),
-    (GaloisGroup(field_make(2, 2)), [lambda g: truncation(g, field_make(2, 1)), lambda g: modulus(g, field_make(2, 1))]),
+    (GaloisGroup(field_make(2, 2)), [lambda g: truncation(g.field, field_make(2, 1)), lambda g: modulus(g.field, field_make(2, 1))]),
     (ResidueGroup(1), []),
     (ResidueGroup(2), []),
-    (ResidueGroup(4), [lambda g: residue(g, 2)]),
-    (ResidueGroup(6), [lambda g: residue(g, 3), lambda g: residue(g, 2)]),
+    (ResidueGroup(4), [lambda g: residue(g.order, 2)]),
+    (ResidueGroup(6), [lambda g: residue(g.order, 3), lambda g: residue(g.order, 2)]),
 ]
 
 
@@ -453,7 +463,7 @@ def test_product_tables_match_element_path(drawn):
     for which, g in enumerate(pg.components):
         assert list(component(pg, which).table) == [g.index(e[which]) for e in elems]
     proj = product_projection(parts)
-    assert list(proj.table) == [proj.target.index(tuple(project(p, x) for p, x in zip(parts, e))) for e in elems]
+    assert list(proj.table) == [proj.target.index(tuple(image(p, x) for p, x in zip(parts, e))) for e in elems]
     ff = full_factorial(pg.components)
     assert ff.data.tolist() == [list(t) for t in itertools.product(*[range(g.order) for g in pg.components])]
 

@@ -164,11 +164,11 @@ def test_collapse_interleaved_and_equal_projections_match_per_column(gf8, gf4):
     g8, z6 = GaloisGroup(gf8), ResidueGroup(6)
     groups = (g8, z6, g8, z6, g8)
     arr = LevelArray(groups, np.random.default_rng(0).integers(0, [g.order for g in groups], size=(64, 5)))
-    trunc, res = truncation(gf8, gf4), residue(z6, 3)
+    trunc, res = truncation(gf8, gf4), residue(6, 3)
     twin = dataclasses.replace(trunc)
     assert twin == trunc and twin is not trunc
     for projections in [
-        (trunc, res, modulus(gf8, field_make(2, 1)), residue(z6, 2), trunc),
+        (trunc, res, modulus(gf8, field_make(2, 1)), residue(6, 2), trunc),
         (trunc, identity_projection(z6), twin, res, twin),
         (identity_projection(g8), res, identity_projection(g8), res, identity_projection(g8)),
     ]:

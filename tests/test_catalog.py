@@ -27,18 +27,18 @@ def test_unknown_entry():
 
 def test_seberry_row_two():
     arr = catalog_get("seberry_12_12_4").payload
-    assert arr.row_texts(1) == "00 00 00 01 01 01 11 11 11 10 10 10".split()
+    assert arr.texts()[1] == "00 00 00 01 01 01 11 11 11 10 10 10".split()
 
 
 def test_dulmage_row_three():
     arr = catalog_get("dulmage_12_6_12").payload
-    assert arr.row_texts(2) == "00 02 10 01 15 12".split()
+    assert arr.texts()[2] == "00 02 10 01 15 12".split()
 
 
 def test_ex10_a2_shape_and_first_rows():
     arr = catalog_get("ex10_a2").payload
     assert arr.shape == (16, 5)
-    assert arr.row_texts(1) == ["1", "0", "1", "x", "x+1"]
+    assert arr.texts()[1] == ["1", "0", "1", "x", "x+1"]
 
 
 def test_derived_d_12_6_6():
@@ -84,20 +84,18 @@ def test_entries_round_trip_through_files(tmp_path):
             assert loaded.child_rows == payload.child_rows
 
 
-def test_corrupted_data_fails_fast(tmp_path, monkeypatch):
-    # a corrupted resource directory must be rejected at load time
-    bad = tmp_path / "data"
-    bad.mkdir()
+def test_corrupted_data_fails_fast(monkeypatch):
+    # a corrupted resource must be rejected at load time
     src = catalog_get("dulmage_12_6_12").payload  # cached original
     text = "\n".join(" ".join(r) for r in src.texts())
     text = text.replace("15", "14", 1)
-    (bad / "dulmage_12_6_12.txt").write_text(text + "\n")
-    monkeypatch.setenv("NESTFILL_CATALOG", str(bad))
     import nestfill.catalog as cat
 
+    real = cat._data_text
+    monkeypatch.setattr(cat, "_data_text", lambda name: text + "\n" if name == "dulmage_12_6_12.txt" else real(name))
     cat.catalog_get.cache_clear()
     with pytest.raises(ValueError, match="dulmage_12_6_12"):
         cat.catalog_get("dulmage_12_6_12")
-    monkeypatch.delenv("NESTFILL_CATALOG")
+    monkeypatch.undo()
     cat.catalog_get.cache_clear()
     assert cat.catalog_get("dulmage_12_6_12").payload is not None

@@ -244,6 +244,49 @@ def test_non_integral_residue_modulus_exit_4(tmp_path, capsys, where):
         assert capsys.readouterr().err.startswith("error: malformed bundle")
 
 
+def _set(where, **fields):
+    """A sidecar edit that updates every column, or every projection, with ``fields``."""
+
+    def edit(meta):
+        for d in meta["columns"] if where == "columns" else meta["nested"]["projections"]:
+            d.update(fields)
+
+    return edit
+
+
+ZMOD = [{"kind": "zmod", "s": s} for s in (2, 4, 8)]
+WRONG_KIND = [
+    ("modulus-zmod-target", _set("projections", target=ZMOD[1]), "modulus projection needs a Galois field alphabet, not Z_4"),
+    ("modulus-zmod-source", _set("projections", source=ZMOD[2]), "modulus projection needs a Galois field alphabet, not Z_8"),
+    ("modulus-product-source", _set("projections", source={"kind": "product", "components": ZMOD[:2]}),
+     "modulus projection needs a Galois field alphabet, not Z_2xZ_4"),
+    ("component-over-gf", _set("projections", kind="component", which=0), "component projection needs a product alphabet, not GF(8)"),
+    ("residue-over-gf", _set("projections", kind="residue", a=4), "residue projection needs a residue ring alphabet, not GF(8)"),
+    ("coefficient-1.5", _set("columns", irreducible=[1.5, 1, 0, 1]), "polynomial coefficient must be an integer, got 1.5"),
+]
+
+
+@pytest.mark.parametrize("edit, says", [c[1:] for c in WRONG_KIND], ids=[c[0] for c in WRONG_KIND])
+@pytest.mark.parametrize(
+    "argv", [["info", "{b}"], ["verify", "noa", "{b}"], ["lhd", "{b}", "--midpoint", "--out", "{b}_design"]],
+    ids=["info", "verify", "lhd"],
+)
+def test_wrong_kind_sidecar_alphabet_exit_4(tmp_path, capsys, edit, says, argv):
+    """A projection over the wrong kind of alphabet used to crash with an
+    AttributeError (exit 1), or, for a residue over a field, exit 4 saying
+    that the modulus must be an integer; a coefficient 1.5 was read as 1 and
+    the bundle loaded."""
+    prefix = str(tmp_path / "b")
+    assert run("construct", "qtw", "s1=8", "s2=4", "k=2", "--out", prefix) == 0
+    meta = json.loads((tmp_path / "b.json").read_text())
+    edit(meta)
+    (tmp_path / "b.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run(*(a.format(b=prefix) for a in argv)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed bundle") and says in err
+
+
 def _process(*argv, timeout=None, memory_mib=None):
     """``nestfill.cli`` run as a process; a run past ``timeout`` seconds
     raises ``subprocess.TimeoutExpired``, and with ``memory_mib`` its
@@ -415,8 +458,8 @@ def _seberry_text():
 def test_catalog_data_errors_exit_codes(tmp_path, monkeypatch, capsys, garble, code, head):
     import nestfill.catalog as cat
 
-    (tmp_path / "seberry_12_12_4.txt").write_text(garble(_seberry_text()))
-    monkeypatch.setenv("NESTFILL_CATALOG", str(tmp_path))
+    text, real = garble(_seberry_text()), cat._data_text
+    monkeypatch.setattr(cat, "_data_text", lambda name: text if name == "seberry_12_12_4.txt" else real(name))
     cat.catalog_get.cache_clear()
     try:
         capsys.readouterr()
@@ -425,7 +468,7 @@ def test_catalog_data_errors_exit_codes(tmp_path, monkeypatch, capsys, garble, c
         err = capsys.readouterr().err
         assert err.startswith(head) and "Traceback" not in err
     finally:
-        monkeypatch.delenv("NESTFILL_CATALOG")
+        monkeypatch.undo()
         cat.catalog_get.cache_clear()
 
 
