@@ -33,8 +33,8 @@ points.  Each projection builder has one argument spelling:
 ``residue(s, a)`` two integer orders, ``component(g, which)`` a
 ``ProductGroup`` and a position, and ``product_projection(parts)`` one
 projection per component.  Each keeps one validated object per distinct
-argument, like the tables; refusals are not cached, so a bad argument
-raises on every call.  ``texts_at`` and ``parse_indices`` are the
+argument, like the tables (a numpy integer is the int it equals); refusals
+are not cached, so a bad argument raises on every call.  ``texts_at`` and ``parse_indices`` are the
 text edge, so files are read and written one lookup per cell: through
 ``text_codec``, per alphabet the canonical text of every index and the map
 back, except in a residue ring, whose cells are decimal integers read and
@@ -670,25 +670,43 @@ def parse_indices(g: Group, texts: Sequence[str]) -> np.ndarray:
     return np.fromiter(read, INDEX_DTYPE, len(texts))
 
 
+def _residue_add(n: int) -> np.ndarray:
+    """Addition table of Z_n, a new array."""
+    i = np.arange(n, dtype=INDEX_DTYPE)
+    return (i[:, None] + i[None, :]) % n
+
+
+def _kron_sum(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Addition table of the product of alphabets with addition tables
+    ``tables``, in the ``_grid`` layout (last component fastest), as a new
+    array: one broadcast add per component, each over the cells of the
+    product so far times those of the next component."""
+    out = tables[0]
+    for t in tables[1:]:
+        n, m = len(out), len(t)
+        out = (out[:, None, :, None] * m + t[None, :, None, :]).reshape(n * m, n * m)
+    return out
+
+
 @lru_cache(maxsize=None)
 def add_table(g: Group) -> np.ndarray:
-    """Index-level addition table of ``g`` as a read-only (order, order) array."""
-    n = g.order
+    """Index-level addition table of ``g`` as a read-only (order, order) array.
+
+    A product alphabet adds component by component, so its table is the
+    Kronecker sum of its components' tables (``_kron_sum``).  So is a field's:
+    GF(p^u) adds coefficient by coefficient, and its index layout (``a_0``
+    fastest) is the ``_grid`` layout of Z_p^u with the last component
+    ``a_0``, so its table is the Z_p^u table cell for cell.  The Z_p tables
+    of a field are built here, not read from the cache, so a field adds no
+    cached entry besides its own."""
     if isinstance(g, ResidueGroup):
-        i = np.arange(n, dtype=INDEX_DTYPE)
-        tab = (i[:, None] + i[None, :]) % n
+        tab = _residue_add(g.order)
     elif isinstance(g, GaloisGroup):
-        p = g.field.p
-        tab = np.zeros((n, n), dtype=INDEX_DTYPE)
-        for k, dig in enumerate(_vectors(p, g.field.u).T):
-            tab += ((dig[:, None] + dig[None, :]) % p) * p**k
+        tab = _kron_sum([_residue_add(g.field.p)] * g.field.u)
     elif isinstance(g, ProductGroup):
-        orders = [c.order for c in g.components]
-        sums = [add_table(c)[d][:, d] for c, d in zip(g.components, _grid(orders).T)]
-        tab = np.ravel_multi_index(sums, orders)
+        tab = _kron_sum([add_table(c) for c in g.components])
     else:  # pragma: no cover - new alphabet kinds must extend this table
         raise TypeError(f"unknown group kind {type(g).__name__}")
-    tab = tab.astype(INDEX_DTYPE, copy=False)  # ravel_multi_index gives intp
     tab.setflags(write=False)
     return tab
 
@@ -703,49 +721,66 @@ def _to_index(coeffs: np.ndarray, p: int) -> np.ndarray:
     return (coeffs % p) @ p ** np.arange(coeffs.shape[-1], dtype=INDEX_DTYPE)
 
 
-def _scale_table(f: Field) -> np.ndarray:
-    """(p, order) indices of the multiples ``c * e``, c in Z_p, e in ``f``."""
-    return _to_index(np.arange(f.p, dtype=INDEX_DTYPE)[:, None, None] * _vectors(f.p, f.u), f.p)
+def _times_x(f: Field) -> np.ndarray:
+    """Index of ``x * b`` for every element index ``b``: the coefficients
+    of ``b`` move up one degree, and the top one, ``c x^u``, becomes
+    ``c (x^u - f)``, read from the defining polynomial's low coefficients."""
+    top = f.order // f.p
+    b = np.arange(f.order, dtype=INDEX_DTYPE)
+    low = np.asarray(f.irreducible[:-1], dtype=INDEX_DTYPE)
+    carry = _to_index(-np.arange(f.p, dtype=INDEX_DTYPE)[:, None] * low, f.p)  # c (x^u - f), c in Z_p
+    return add_table(GaloisGroup(f))[b % top * f.p, carry[b // top]]
 
 
 @lru_cache(maxsize=None)
 def mul_table(f: Field) -> np.ndarray:
     """Index-level multiplication table of ``f`` as a read-only (order, order)
-    array.  ``a * b`` is built as ``sum a_i (x^i b)``, with every ``x^i b``
-    found by repeated multiplication by x (shift up, subtract the defining
-    polynomial), and checked over every pair by ``_check_mul_table``.  The
-    build costs u passes, each two order x order gathers; the check about
-    the same again."""
-    dig = _vectors(f.p, f.u)
-    add, scale = add_table(GaloisGroup(f)), _scale_table(f)
-    low = np.asarray(f.irreducible[:-1], dtype=INDEX_DTYPE)
-    tab = np.zeros((f.order, f.order), dtype=INDEX_DTYPE)
-    xb = dig  # coefficients of x^i * b, one row per b
-    for i in range(f.u):
-        tab = add[tab, scale[dig[:, i, None], _to_index(xb, f.p)]]
-        # times x: shift up, then replace x^u by x^u - f
-        xb_next = -xb[:, -1:] * low
-        xb_next[:, 1:] += xb[:, :-1]
-        xb = xb_next % f.p
+    array, built by doubling over the rows and checked by
+    ``_check_mul_table``.
+
+    Row ``a = c p^i + r`` (``c`` in Z_p, ``r < p^i``) is ``a * b = r * b +
+    c (x^i b)``, so rows ``c p^i .. (c + 1) p^i - 1`` are rows ``(c - 1)
+    p^i ..`` plus the element ``x^i b`` in every column: one flat gather of
+    the addition table per block, and every cell is written once.  ``x^i b``
+    is the index map ``_times_x`` applied ``i`` times."""
+    _of_kind(f, Field, "a multiplication table")
+    q = f.order
+    add = add_table(GaloisGroup(f)).ravel()  # a + b at a * q + b, below 2^16
+    tab = np.empty((q, q), dtype=INDEX_DTYPE)
+    tab[0] = 0
+    times_x, xib = _times_x(f), np.arange(q, dtype=INDEX_DTYPE)
+    block = 1
+    for _ in range(f.u):
+        for c in range(1, f.p):
+            np.take(add, tab[(c - 1) * block : c * block] * q + xib, out=tab[c * block : (c + 1) * block])
+        xib = times_x[xib]
+        block *= f.p
     _check_mul_table(f, tab)
     tab.setflags(write=False)
     return tab
 
 
 def _check_mul_table(f: Field, tab: np.ndarray) -> None:
-    """Raise unless ``tab[a, b]`` is ``sum a_i b_j (x^(i+j) mod f)`` for all a, b.
+    """Raise unless ``tab[a, b]`` is ``a * b`` for all a, b, naming the
+    first wrong cell in row-major order.
 
-    The reference does not share the build's shift-and-reduce route: each
-    ``x^i b`` is ``sum_j b_j (x^(i+j) mod f)``, one (order x u) @ (u x u)
-    product over the scalar reductions of x^k (``_powers_mod``).  It costs
-    u passes, each two order x order gathers, and compares every cell."""
-    dig = _vectors(f.p, f.u)
-    add, scale = add_table(GaloisGroup(f)), _scale_table(f)
-    xk = _powers_mod(f, 2 * f.u - 1)
-    ref = np.zeros_like(tab)
-    for i in range(f.u):
-        xib = _to_index(dig @ xk[i : i + f.u], f.p)  # x^i * b, one entry per b
-        ref = add[ref, scale[dig[:, i, None], xib]]
+    The reference is built along the other axis from other data: by doubling
+    over the columns, column ``b = d p^j + r`` being column ``r`` plus the
+    element ``x^j a`` in every row, where ``x^j a = sum_i a_i (x^(i+j) mod
+    f)`` comes from the scalar reductions of the powers of x
+    (``_powers_mod``), not from the build's times-x map.  Only the addition
+    table is shared.  Every cell is compared."""
+    q = f.order
+    add = add_table(GaloisGroup(f)).ravel()
+    dig, xk = _vectors(f.p, f.u), _powers_mod(f, 2 * f.u - 1)
+    ref = np.empty_like(tab)
+    ref[:, 0] = 0
+    block = 1
+    for j in range(f.u):
+        xja = _to_index(dig @ xk[j : j + f.u], f.p)[:, None]  # x^j a, one row per a
+        for d in range(1, f.p):
+            ref[:, d * block : (d + 1) * block] = add[ref[:, (d - 1) * block : d * block] * q + xja]
+        block *= f.p
     bad = np.argwhere(tab != ref)
     if bad.size:
         a, b = bad[0]
@@ -831,15 +866,20 @@ def _validated(kind: str, source: Group, target: Group, table: Sequence[int], de
     return Projection(kind, source, target, table, detail)
 
 
-_KIND_NAMES = {GaloisGroup: "a Galois field", ResidueGroup: "a residue ring", ProductGroup: "a product"}
+_KIND_NAMES = {
+    Field: "a Field",
+    GaloisGroup: "a Galois field alphabet",
+    ResidueGroup: "a residue ring alphabet",
+    ProductGroup: "a product alphabet",
+}
 
 
-def _of_kind(g: Group, kind: type[Group], projection: str) -> Group:
-    """``g``, or a ``ValueError`` naming the kind of alphabet that a
-    ``projection`` projection needs."""
-    if not isinstance(g, kind):
-        raise ValueError(f"a {projection} projection needs {_KIND_NAMES[kind]} alphabet, not {g.describe()}")
-    return g
+def _of_kind(v, kind: type, what: str):
+    """``v``, or a ``ValueError`` saying that ``what`` needs a ``kind``."""
+    if not isinstance(v, kind):
+        got = v.describe() if isinstance(v, Group) else repr(v)
+        raise ValueError(f"{what} needs {_KIND_NAMES[kind]}, not {got}")
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -850,6 +890,8 @@ def identity_projection(g: Group) -> Projection:
 @lru_cache(maxsize=None)
 def truncation(f1: Field, f2: Field) -> Projection:
     """Drop all terms of degree >= u2; the Bose-Bush style collapse."""
+    for f in (f1, f2):
+        _of_kind(f, Field, "a truncation projection")
     if f1.p != f2.p:
         raise ValueError("truncation requires matching characteristics")
     if f2.u > f1.u:
@@ -861,6 +903,8 @@ def truncation(f1: Field, f2: Field) -> Projection:
 @lru_cache(maxsize=None)
 def modulus(f1: Field, f2: Field) -> Projection:
     """Reduce each element modulo the target's defining polynomial."""
+    for f in (f1, f2):
+        _of_kind(f, Field, "a modulus projection")
     if f1.p != f2.p:
         raise ValueError("modulus requires matching characteristics")
     if f2.u > f1.u:
@@ -869,10 +913,13 @@ def modulus(f1: Field, f2: Field) -> Projection:
     return _validated("modulus", GaloisGroup(f1), GaloisGroup(f2), table, detail=(f2.irreducible,))
 
 
-# typed: 3.0 and True are equal keys to 3 and 1, and must still be refused
-@lru_cache(maxsize=None, typed=True)
 def residue(s: int, a: int) -> Projection:
     """The map u -> u mod a from Z_s onto Z_a."""
+    return _residue(_integer(s, "modulus"), _integer(a, "residue modulus"))
+
+
+@lru_cache(maxsize=None)
+def _residue(s: int, a: int) -> Projection:
     src = ResidueGroup(s)
     if a < 1:
         raise ValueError("residue modulus must be positive")
@@ -884,14 +931,23 @@ def residue(s: int, a: int) -> Projection:
     return _validated("residue", src, tgt, [i % a for i in range(src.modulus)], detail=(tgt.modulus,))
 
 
-@lru_cache(maxsize=None, typed=True)
 def component(source: ProductGroup, which: int) -> Projection:
     """Select one component of a product alphabet, e.g. digit dropping."""
-    _of_kind(source, ProductGroup, "component")
+    return _component(source, _integer(which, "component index"))
+
+
+@lru_cache(maxsize=None)
+def _component(source: ProductGroup, which: int) -> Projection:
+    _of_kind(source, ProductGroup, "a component projection")
     if not 0 <= which < len(source.components):
         raise ValueError(f"component index {which} out of range")
     table = _grid([g.order for g in source.components])[:, which]
-    return _validated("component", source, source.components[which], table, detail=(int(which),))
+    return _validated("component", source, source.components[which], table, detail=(which,))
+
+
+# one cache per projection, read through the normalising entry points
+residue.cache_info, residue.cache_clear = _residue.cache_info, _residue.cache_clear
+component.cache_info, component.cache_clear = _component.cache_info, _component.cache_clear
 
 
 def product_projection(parts: Sequence[Projection]) -> Projection:
@@ -965,16 +1021,17 @@ def projection_to_dict(p: Projection) -> dict:
 def projection_from_dict(d: dict) -> Projection:
     kind = d["kind"]
     source = group_from_dict(d["source"])
+    what = f"a {kind} projection"
     if kind == "identity":
         return identity_projection(source)
     if kind == "truncation":
         target = group_from_dict(d["target"])
-        return truncation(_of_kind(source, GaloisGroup, kind).field, _of_kind(target, GaloisGroup, kind).field)
+        return truncation(_of_kind(source, GaloisGroup, what).field, _of_kind(target, GaloisGroup, what).field)
     if kind == "modulus":
         target = group_from_dict(d["target"])
-        return modulus(_of_kind(source, GaloisGroup, kind).field, _of_kind(target, GaloisGroup, kind).field)
+        return modulus(_of_kind(source, GaloisGroup, what).field, _of_kind(target, GaloisGroup, what).field)
     if kind == "residue":
-        return residue(_of_kind(source, ResidueGroup, kind).modulus, d["a"])
+        return residue(_of_kind(source, ResidueGroup, what).modulus, d["a"])
     if kind == "component":
         return component(source, d["which"])
     if kind == "product":

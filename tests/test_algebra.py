@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from nestfill.algebra import (
     field_make,
     identity_projection,
     modulus,
+    mul_table,
     product_projection,
     projection_to_dict,
     poly_parse,
@@ -28,7 +30,7 @@ from nestfill.algebra import (
     residue,
     truncation,
 )
-from nestfill.constructions import full_factorial
+from nestfill.constructions import full_factorial, mult_table
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +395,22 @@ def test_numpy_integers_are_recorded_as_ints():
         residue(10, 5.0)
     with pytest.raises(ValueError, match="modulus must be an integer"):
         residue(10.0, 5)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="component index must be an integer, got True"):
         component(pg, True)
+
+
+def test_equal_projection_arguments_share_one_cache_entry():
+    """A numpy integer and the int it equals are one argument: the second
+    call is answered from the first call's entry."""
+    pg = ProductGroup((ResidueGroup(2), ResidueGroup(5)))
+    for builder, first, second in [
+        (residue, (np.int64(10), 5), (10, 5)),
+        (residue, (10, np.int32(5)), (np.int64(10), 5)),
+        (component, (pg, np.int64(1)), (pg, 1)),
+    ]:
+        builder.cache_clear()
+        assert builder(*first) is builder(*second)
+        assert (builder.cache_info().misses, builder.cache_info().hits) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -418,6 +434,28 @@ def test_alphabet_parameters_must_be_integers(make, what):
     field_make(2, 3), field_make(2, 1), ResidueGroup(6)  # the equal alphabets, built first
     with pytest.raises(ValueError, match=f"{what} must be an integer"):
         make()
+
+
+@pytest.mark.parametrize(
+    "call, says",
+    [
+        (lambda f8, f4: mul_table(GaloisGroup(f8)), "a multiplication table needs a Field, not GF(8)"),
+        (lambda f8, f4: mult_table(GaloisGroup(f8)), "a multiplication table needs a Field, not GF(8)"),
+        (lambda f8, f4: truncation(GaloisGroup(f8), GaloisGroup(f4)), "a truncation projection needs a Field, not GF(8)"),
+        (lambda f8, f4: truncation(f8, GaloisGroup(f4)), "a truncation projection needs a Field, not GF(4)"),
+        (lambda f8, f4: modulus(GaloisGroup(f8), GaloisGroup(f4)), "a modulus projection needs a Field, not GF(8)"),
+        (lambda f8, f4: truncation(f8, 4), "a truncation projection needs a Field, not 4"),
+        (lambda f8, f4: modulus(f8, 4), "a modulus projection needs a Field, not 4"),
+    ],
+    ids=["mul_table", "mult_table", "truncation", "truncation-target", "modulus", "truncation-4", "modulus-4"],
+)
+def test_field_arguments_must_be_fields(gf8, gf4, call, says):
+    """Each used to fail with an AttributeError on ``.p``; the refusal is
+    not cached, so it raises again on a second call."""
+    mul_table(gf8), truncation(gf8, gf4), modulus(gf8, gf4)  # the good entries, built first
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+            call(gf8, gf4)
 
 
 def test_a_shared_projection_is_frozen_and_read_only(gf8, gf4):

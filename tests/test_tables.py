@@ -16,13 +16,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ex12_inputs, ex13_dm, ex13_noa, thm8_inputs
 
+from nestfill import algebra
 from nestfill.algebra import (
+    INDEX_DTYPE,
     Field,
     GaloisGroup,
     GfElem,
     ProductGroup,
     ResidueGroup,
     _check_mul_table,
+    add_table,
     digits,
     field_make,
     group_to_dict,
@@ -151,6 +154,73 @@ def test_mul_table_check_names_the_first_bad_cell(pu, data):
     a, b = min(cells)  # np.argwhere order: row-major
     with pytest.raises(RuntimeError, match=rf"GF\({f.order}\).*\({a}, {b}\): {bad[a, b]} instead of {good[a, b]}$"):
         _check_mul_table(f, bad)
+
+
+def test_mul_table_build_error_names_the_first_bad_cell(monkeypatch):
+    """The check does not use the build's times-x map: with that map wrong
+    at one element b, row x (index p) is the first to use it, and its cell b
+    is the first bad one."""
+    for f, b, wrong in [(field_make(2, 3), 5, 2), (field_make(3, 2), 7, 0), (field_make(2, 8), 200, 17)]:
+        good = algebra._times_x(f)
+        bad = good.copy()
+        bad[b] = wrong
+        monkeypatch.setattr(algebra, "_times_x", lambda _f, bad=bad: bad)
+        want = rf"GF\({f.order}\).* at indices \({f.p}, {b}\): {wrong} instead of {reference_product(f, f.p, b)}$"
+        with pytest.raises(RuntimeError, match=want):
+            mul_table.__wrapped__(f)
+        monkeypatch.undo()
+        assert np.array_equal(mul_table.__wrapped__(f), mul_table(f))
+
+
+@pytest.mark.parametrize("p,u,k", [(2, 3, 3), (3, 2, 1), (2, 8, 12)])
+def test_mul_table_check_fails_a_good_table_on_wrong_powers_of_x(monkeypatch, p, u, k):
+    """The check's reference comes from the scalar powers of x, so a wrong
+    power fails a good table."""
+    f = field_make(p, u)
+    good = mul_table(f)
+    powers = algebra._powers_mod
+
+    def wrong_powers(f, count):
+        xk = powers(f, count).copy()
+        xk[k, 0] = (xk[k, 0] + 1) % f.p
+        return xk
+
+    monkeypatch.setattr(algebra, "_powers_mod", wrong_powers)
+    with pytest.raises(RuntimeError, match=rf"GF\({f.order}\) multiplication table is wrong"):
+        _check_mul_table(f, good)
+
+
+def gf_add_reference(f: Field) -> list:
+    """Index of a + b for every pair, through ``Field.add`` on elements."""
+    elems = f.elements()
+    return [[f.index(f.add(a, b)) for b in elems] for a in elems]
+
+
+def zp_power_add_table(f: Field) -> np.ndarray:
+    """The addition table of Z_p^u as a product alphabet (Z_p itself for u = 1)."""
+    zp = ResidueGroup(f.p)
+    return add_table(ProductGroup((zp,) * f.u) if f.u > 1 else zp)
+
+
+@pytest.mark.parametrize("p,u,poly", [(p, u, None) for p, u in sorted(DEFAULT_IRREDUCIBLES)] + PINNED_POLYS)
+def test_gf_add_table_matches_field_add_and_zp_power(p, u, poly):
+    f = field_make(p, u, poly)
+    tab = add_table(GaloisGroup(f))
+    assert tab.dtype == INDEX_DTYPE and not tab.flags.writeable
+    assert tab.tolist() == gf_add_reference(f)
+    assert np.array_equal(tab, zp_power_add_table(f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(irreducible_fields(), st.data())
+def test_gf_add_table_random_irreducibles(f, data):
+    tab = add_table(GaloisGroup(f))
+    assert np.array_equal(tab, zp_power_add_table(f))
+    pairs = data.draw(
+        st.lists(st.tuples(st.integers(0, f.order - 1), st.integers(0, f.order - 1)), min_size=1, max_size=20)
+    )
+    for a, b in pairs:
+        assert tab[a, b] == f.index(f.add(f.element(a), f.element(b)))
 
 
 def test_mul_table_agrees_with_scalar_view(gf9):
