@@ -38,7 +38,10 @@ are not cached, so a bad argument raises on every call.  ``texts_at`` and ``pars
 text edge, so files are read and written one lookup per cell: through
 ``text_codec``, per alphabet the canonical text of every index and the map
 back, except in a residue ring, whose cells are decimal integers read and
-written directly.
+written directly.  ``arrays._parse_grid`` reads every grid of cell texts
+through them and sends only the cells no lookup reads to
+``Group.parse_index``, the element path.  ``DEFAULT_IRREDUCIBLES`` sits next
+to ``field_make``, its only reader.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -68,6 +71,7 @@ __all__ = [
     "poly_mod",
     "GfElem",
     "Field",
+    "DEFAULT_IRREDUCIBLES",
     "field_make",
     "Group",
     "GaloisGroup",
@@ -385,19 +389,42 @@ class Field:
             raise ValueError(f"{e!r} has coefficients outside Z_{self.p}")
 
 
+#: Default defining polynomials, constant term first.  The x^u + x + 1
+#: convention is used wherever that trinomial is irreducible; the remaining
+#: entries are standard choices, and every one is re-verified by trial
+#: division when the field is built.
+DEFAULT_IRREDUCIBLES: dict[tuple[int, int], tuple[int, ...]] = {
+    (2, 1): (1, 1),  # x+1
+    (2, 2): (1, 1, 1),  # x^2+x+1
+    (2, 3): (1, 1, 0, 1),  # x^3+x+1
+    (2, 4): (1, 1, 0, 0, 1),  # x^4+x+1
+    (2, 5): (1, 0, 1, 0, 0, 1),  # x^5+x^2+1 (x^5+x+1 is reducible)
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),  # x^6+x+1
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),  # x^7+x+1
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),  # x^8+x^4+x^3+x+1
+    (3, 1): (1, 1),  # x+1
+    (3, 2): (2, 1, 1),  # x^2+x+2
+    (3, 3): (1, 2, 0, 1),  # x^3+2x+1
+    (3, 4): (2, 1, 0, 0, 1),  # x^4+x+2
+    (5, 1): (1, 1),
+    (7, 1): (1, 1),
+}
+
+
 def field_make(
     p: int, u: int, irreducible: Union[str, Sequence[int], None] = None
 ) -> Field:
     """Build a validated GF(p^u).
 
-    When ``irreducible`` is omitted the default polynomial is looked up in
-    the catalog module.  The polynomial may be given as a coefficient
-    sequence (constant term first) or as text such as ``"x^3+x+1"``.
+    When ``irreducible`` is omitted the polynomial is the default of
+    ``DEFAULT_IRREDUCIBLES``; a (p, u) without one raises ``ValueError``.
+    The polynomial may be given as a coefficient sequence (constant term
+    first) or as text such as ``"x^3+x+1"``.
     """
     if irreducible is None:
-        from . import catalog
-
-        irreducible = catalog.default_irreducible(p, u)
+        if (p, u) not in DEFAULT_IRREDUCIBLES:
+            raise ValueError(f"no default defining polynomial for GF({p}^{u})")
+        irreducible = DEFAULT_IRREDUCIBLES[(p, u)]
     if isinstance(irreducible, str):
         irreducible = poly_parse(irreducible, p)
     return Field(p, u, irreducible)
@@ -448,15 +475,12 @@ class Group:
         return self.text(self.element(index))  # raises the out-of-range error
 
     def parse_index(self, text: str) -> int:
-        """Index of the element spelled ``text``.  Canonical texts are one
-        lookup; any other spelling the parser accepts (``1+x``, ``x^1``,
-        `` x + 1``) goes through ``parse``, which also raises for bad text."""
-        i = text_codec(self)[1].get(text)
-        if i is None:
-            if not isinstance(text, str):
-                raise ValueError(f"{text!r} is not element text")
-            i = self.index(self.parse(text))
-        return i
+        """Index of the element spelled ``text`` (``1+x``, ``x^1``, ``07``),
+        by the element path ``index(parse(text))``, which raises for bad
+        text.  Files and row labels go through ``arrays._parse_grid``."""
+        if not isinstance(text, str):
+            raise ValueError(f"{text!r} is not element text")
+        return self.index(self.parse(text))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -539,13 +563,6 @@ class ResidueGroup(Group):
     def text_at(self, index: int) -> str:
         """The decimal digits of ``index``; Z_s is never listed."""
         return self.text(self.element(index))
-
-    def parse_index(self, text: str) -> int:
-        """The value of any spelling ``int`` reads (``7``, ``07``, `` 7``)
-        that lies in Z_s; Z_s is never listed."""
-        if not isinstance(text, str):
-            raise ValueError(f"{text!r} is not element text")
-        return self.parse(text)
 
     def describe(self) -> str:
         return f"Z_{self.modulus}"
@@ -652,8 +669,8 @@ def texts_at(g: Group, idx: np.ndarray) -> np.ndarray:
 
 def _residue_or_miss(s: int, text: str) -> int:
     try:
-        v = int(text)
-    except ValueError:
+        v = int(text, 10)  # refuses a number that is not text, as parse_index does
+    except (TypeError, ValueError):
         return -1
     return v if 0 <= v < s else -1
 

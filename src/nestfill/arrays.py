@@ -138,7 +138,7 @@ class _Owned:
 
     ``admitted`` marks a buffer whose every entry was taken from a value
     that admitted it under the same column alphabet (a row or column
-    selection): the new value skips its admission check."""
+    selection, or the same data given row labels): it is not admitted again."""
 
     __slots__ = ("buf", "admitted")
 
@@ -795,13 +795,14 @@ def _atomic_write(path: str, content: str) -> None:
 
 
 def _parse_grid(groups: Sequence[Group], rows: list[list[str]], where: str) -> np.ndarray:
-    """Element indices of a grid of cell texts, one alphabet at a time.
+    """Element indices of a grid of cell texts: the one reader of bundle
+    CSVs, catalog data files and sidecar row labels.
 
     The cells of all the columns that share an alphabet are read in one
-    pass of ``parse_indices``; a cell it does not read goes through
-    ``parse_index``.  A cell that does not parse raises :class:`FormatError`
-    with its position; of several, the one in the lowest column, then the
-    lowest row, is named, whatever the alphabets.
+    pass of ``parse_indices``; the rest go through ``parse_index`` in
+    column-major order, and the first that does not parse raises
+    :class:`FormatError` with its position: of several, the one in the
+    lowest column, then the lowest row, whatever the alphabets.
     """
     m = len(groups)
     for r, cells in enumerate(rows):
@@ -811,25 +812,14 @@ def _parse_grid(groups: Sequence[Group], rows: list[list[str]], where: str) -> n
     columns: dict[Group, list[int]] = {}
     for j, g in enumerate(groups):
         columns.setdefault(g, []).append(j)
-    bad = None  # (column, row, message) of the first bad cell found so far
     for g, js in columns.items():
         cells = list(chain.from_iterable(rows)) if len(js) == m else [row[j] for row in rows for j in js]
-        idx = parse_indices(g, cells)
-        # the misses in column-major order, the order the first bad cell is named in
-        for k in sorted(np.flatnonzero(idx < 0).tolist(), key=lambda k: (k % len(js), k)):
-            r, j = k // len(js), js[k % len(js)]
-            if bad is not None and (j, r) > bad[:2]:
-                break
-            try:
-                idx[k] = g.parse_index(cells[k])
-            except ValueError as e:
-                bad = (j, r, str(e))
-                break
-        if bad is None:
-            data[:, js] = idx.reshape(len(rows), len(js))
-    if bad is not None:
-        j, r, msg = bad
-        raise FormatError(f"{where}: row {r + 1}, column {j + 1}: {msg}")
+        data[:, js] = parse_indices(g, cells).reshape(len(rows), len(js))
+    for j, r in np.argwhere(data.T < 0).tolist():
+        try:
+            data[r, j] = groups[j].parse_index(rows[r][j])
+        except ValueError as e:
+            raise FormatError(f"{where}: row {r + 1}, column {j + 1}: {e}") from None
     return data
 
 
@@ -905,7 +895,9 @@ def load_bundle(prefix: str) -> tuple[LevelArray | NestedPair, str | None]:
 
     Each distinct column alphabet and projection spec of the sidecar is
     built and validated once per load; the columns that repeat a spec share
-    its object.  A missing or unreadable file raises ``OSError``; any
+    its object.  The sidecar's row labels are read as a one-column grid, and
+    the data admitted with the CSV is not admitted again when they are
+    attached.  A missing or unreadable file raises ``OSError``; any
     malformed content (bad JSON, wrong sidecar structure, bad CSV text, an
     object that fails its own validation) raises :class:`BundleFormatError`.
     """
@@ -918,8 +910,8 @@ def load_bundle(prefix: str) -> tuple[LevelArray | NestedPair, str | None]:
         arr = read_array_csv(prefix + ".csv", groups)
         if meta.get("label_group"):
             label_group = group_from_dict(meta["label_group"])
-            labels = tuple(label_group.parse_index(t) for t in meta["row_labels"])
-            arr = LevelArray(arr.groups, _Owned(arr.data), row_labels=labels, label_group=label_group)
+            labels = _parse_grid((label_group,), [[t] for t in meta["row_labels"]], "row_labels")
+            arr = LevelArray(arr.groups, _Owned(arr.data, admitted=True), row_labels=labels[:, 0], label_group=label_group)
         nested = meta.get("nested")
         if nested:
             projections = tuple(map(_once_per_spec(projection_from_dict), nested["projections"]))

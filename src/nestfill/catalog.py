@@ -1,51 +1,25 @@
-"""Built-in data: published matrices, default polynomials, derived entries.
+"""Built-in data: published matrices and the entries derived from them.
 
 The matrix entries are stored as text resources in the notation of their
 sources (Seberry 1979; Dulmage, Johnson and Mendelsohn 1961; Qian, Ai and
-Wu 2009) and parsed by the element parsers, so any transcription slip
+Wu 2009) and read by ``arrays._parse_grid``, so any transcription slip
 surfaces as a checker failure at load time rather than a silently wrong
-answer.  Every entry is verified by its declared checker the first time it
-is requested, then cached.
+answer.  The difference matrices stored exactly as printed are the rows of
+one table, ``_PRINTED_DMS``, read by one loader.  Every entry is verified
+by its declared checker the first time it is requested, then cached.  The
+default defining polynomials live next to ``algebra.field_make``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from typing import Callable
 
-from .algebra import GaloisGroup, ProductGroup, ResidueGroup, component, field_make, modulus, residue
+from .algebra import GaloisGroup, Group, ProductGroup, ResidueGroup, component, field_make, modulus, residue
 from .arrays import FormatError, LevelArray, NestedPair, _Owned, collapse, require, subcols, subrows
 from .constructions import full_factorial
-
-#: Default defining polynomials, constant term first.  The x^u + x + 1
-#: convention is used wherever that trinomial is irreducible; the remaining
-#: entries are standard choices, and every one is re-verified by trial
-#: division when the field is built.
-DEFAULT_IRREDUCIBLES: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 1): (1, 1),  # x+1
-    (2, 2): (1, 1, 1),  # x^2+x+1
-    (2, 3): (1, 1, 0, 1),  # x^3+x+1
-    (2, 4): (1, 1, 0, 0, 1),  # x^4+x+1
-    (2, 5): (1, 0, 1, 0, 0, 1),  # x^5+x^2+1 (x^5+x+1 is reducible)
-    (2, 6): (1, 1, 0, 0, 0, 0, 1),  # x^6+x+1
-    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),  # x^7+x+1
-    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),  # x^8+x^4+x^3+x+1
-    (3, 1): (1, 1),  # x+1
-    (3, 2): (2, 1, 1),  # x^2+x+2
-    (3, 3): (1, 2, 0, 1),  # x^3+2x+1
-    (3, 4): (2, 1, 0, 0, 1),  # x^4+x+2
-    (5, 1): (1, 1),
-    (7, 1): (1, 1),
-}
-
-
-def default_irreducible(p: int, u: int) -> tuple[int, ...]:
-    try:
-        return DEFAULT_IRREDUCIBLES[(p, u)]
-    except KeyError:
-        raise ValueError(f"no default defining polynomial for GF({p}^{u})") from None
 
 
 @dataclass(frozen=True)
@@ -72,9 +46,43 @@ def _failed(name: str) -> str:
     return f"catalog entry {name!r} failed validation"
 
 
+def _gf(p: int, u: int) -> GaloisGroup:
+    return GaloisGroup(field_make(p, u))
+
+
+def _entry(name: str, kind: str, obj, cite: str) -> CatalogEntry:
+    """Entry ``name`` holding ``obj``, once ``obj`` passes as ``kind``."""
+    require(obj, kind, _failed(name))
+    return CatalogEntry(name, obj, cite)
+
+
+#: The difference matrices stored exactly as printed, each in the data file
+#: named after it: name -> (alphabet of every column, as a thunk so that no
+#: field is built before the entry is requested; citation).
+_PRINTED_DMS: dict[str, tuple[Callable[[], Group], str]] = {
+    "seberry_12_12_4": (
+        lambda: ProductGroup((ResidueGroup(2), ResidueGroup(2))),
+        "Seberry (1979), generalized Hadamard matrix GH(12; Z2 x Z2)",
+    ),
+    "dulmage_12_6_12": (
+        lambda: ProductGroup((ResidueGroup(2), ResidueGroup(6))),
+        "Dulmage, Johnson and Mendelsohn (1961), over Z2 + Z6",
+    ),
+    "ex3_d1": (lambda: _gf(2, 3), "Qian, Ai and Wu (2009), Example 3 parent table"),
+    "ex3_phi_d2": (lambda: _gf(2, 2), "Qian, Ai and Wu (2009), Example 3 collapsed child"),
+    "ex4_phi_d2": (lambda: _gf(2, 2), "Qian, Ai and Wu (2009), Example 4 collapsed child"),
+    "ex6_block": (lambda: _gf(3, 2), "Qian, Ai and Wu (2009), Example 6 printed columns"),
+}
+
+
+def _printed_dm(name: str) -> CatalogEntry:
+    group, cite = _PRINTED_DMS[name]
+    return _entry(name, "dm", _read_grid(group(), name + ".txt"), cite)
+
+
 # Builders are registered as thunks so that entries are parsed and verified
 # on first request; this also keeps module import free of heavy work.
-_BUILDERS: dict[str, Callable[[], CatalogEntry]] = {}
+_BUILDERS: dict[str, Callable[[], CatalogEntry]] = {name: partial(_printed_dm, name) for name in _PRINTED_DMS}
 _DERIVED: set[str] = set()
 
 
@@ -116,59 +124,12 @@ def catalog_names() -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _gf(p: int, u: int) -> GaloisGroup:
-    return GaloisGroup(field_make(p, u))
-
-
-def _entry(name: str, kind: str, obj, cite: str) -> CatalogEntry:
-    """Entry ``name`` holding ``obj``, once ``obj`` passes as ``kind``."""
-    require(obj, kind, _failed(name))
-    return CatalogEntry(name, obj, cite)
-
-
-@_register("seberry_12_12_4")
-def _seberry() -> CatalogEntry:
-    z2 = ResidueGroup(2)
-    arr = _read_grid(ProductGroup((z2, z2)), "seberry_12_12_4.txt")
-    return _entry("seberry_12_12_4", "dm", arr, "Seberry (1979), generalized Hadamard matrix GH(12; Z2 x Z2)")
-
-
-@_register("dulmage_12_6_12")
-def _dulmage() -> CatalogEntry:
-    arr = _read_grid(ProductGroup((ResidueGroup(2), ResidueGroup(6))), "dulmage_12_6_12.txt")
-    return _entry("dulmage_12_6_12", "dm", arr, "Dulmage, Johnson and Mendelsohn (1961), over Z2 + Z6")
-
-
 @_register("ex10_a2")
 def _ex10_a2() -> CatalogEntry:
     arr = _read_grid(_gf(2, 3), "ex10_a2.txt")
     proj = modulus(field_make(2, 3), field_make(2, 2))
     require(collapse(arr, proj), "oa", _failed("ex10_a2"))
     return CatalogEntry("ex10_a2", arr, "Qian, Ai and Wu (2009), Example 10 child array")
-
-
-def _small_dm(name: str, group, cite: str) -> CatalogEntry:
-    return _entry(name, "dm", _read_grid(group, name + ".txt"), cite)
-
-
-@_register("ex3_d1")
-def _ex3_d1() -> CatalogEntry:
-    return _small_dm("ex3_d1", _gf(2, 3), "Qian, Ai and Wu (2009), Example 3 parent table")
-
-
-@_register("ex3_phi_d2")
-def _ex3_phi_d2() -> CatalogEntry:
-    return _small_dm("ex3_phi_d2", _gf(2, 2), "Qian, Ai and Wu (2009), Example 3 collapsed child")
-
-
-@_register("ex4_phi_d2")
-def _ex4_phi_d2() -> CatalogEntry:
-    return _small_dm("ex4_phi_d2", _gf(2, 2), "Qian, Ai and Wu (2009), Example 4 collapsed child")
-
-
-@_register("ex6_block")
-def _ex6_block() -> CatalogEntry:
-    return _small_dm("ex6_block", _gf(3, 2), "Qian, Ai and Wu (2009), Example 6 printed columns")
 
 
 @_register("ex13_d")

@@ -41,6 +41,7 @@ from .algebra import (
     Projection,
     ResidueGroup,
     _grid,
+    _to_index,
     _vectors,
     add_table,
     field_make,
@@ -273,15 +274,14 @@ def ndm_p3(instance: str) -> NestedPair:
     if instance == "gf27_to_gf9":
         f, g = field_make(3, 3), field_make(3, 2)
         r = _labels(f, 0)
-        shifts = ["0", "2x^2+x", "x^2+2x"]
+        shifts = [(0, 0, 0), (0, 1, 2), (0, 2, 1)]  # coefficients, constant first
     elif instance == "gf81_to_gf27":
         f, g = field_make(3, 4), field_make(3, 3)
         r = _labels(f, 1)
-        shifts = ["0", "2x^3+x^2", "x^3+2x^2"]
+        shifts = [(0, 0, 0, 0), (0, 0, 1, 2), (0, 0, 2, 1)]
     else:
         raise ValueError(f"unknown instance {instance!r}")
-    bases = np.array([f.index(f.parse(s)) for s in shifts])
-    child = _shift(f, bases[:, None], r).ravel()
+    child = _shift(f, _to_index(np.array(shifts), f.p)[:, None], r).ravel()
     return _ndm_from_labels(
         f, g, _labels(f, 1), np.arange(f.order), child, f"ndm_p3({instance})"
     )

@@ -15,6 +15,7 @@ from nestfill.algebra import (
     ProductGroup,
     ResidueGroup,
     _find_factor,
+    _validated,
     _vectors,
     add_table,
     component,
@@ -255,6 +256,26 @@ def test_projection_outside_source_rejected(gf8, gf4):
     phi = truncation(gf8, gf4)
     with pytest.raises(ValueError):
         image(phi, gf4.parse("x"))
+
+
+@pytest.mark.parametrize(
+    "table, says",
+    [
+        ([0, 1, 0], "^test projection table does not cover the source alphabet$"),
+        ([0, 1, 0, 2], "^test projection maps outside the target alphabet$"),
+        ([0, 1, 0, -1], "^test projection maps outside the target alphabet$"),
+        ([0, 0, 0, 1], "^test projection Z_4 -> Z_2 is not balanced: unequal fiber sizes$"),
+        ([0, 0, 1, 1], "^test projection Z_4 -> Z_2 does not preserve addition$"),
+    ],
+    ids=["short", "above", "negative", "unequal-fibres", "not-additive"],
+)
+def test_projection_tables_are_validated(table, says):
+    """Each refusal of the one validation every projection constructor goes
+    through; Z_4 -> Z_2 by u mod 2 is the table that passes."""
+    z4, z2 = ResidueGroup(4), ResidueGroup(2)
+    assert _validated("test", z4, z2, [0, 1, 0, 1]).table == (0, 1, 0, 1)
+    with pytest.raises(ValueError, match=says):
+        _validated("test", z4, z2, table)
 
 
 def test_modulus_characteristic_mismatch(gf8, gf9):

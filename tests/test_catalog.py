@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from nestfill.algebra import field_make
 from nestfill.arrays import NestedPair, check_dm, load_bundle, save_bundle
 from nestfill.catalog import (
     CatalogEntry,
     catalog_derive,
     catalog_get,
     catalog_names,
-    default_irreducible,
 )
 
 
@@ -65,9 +65,9 @@ def test_derive_rejects_base_entries():
 
 
 def test_default_irreducibles_known():
-    assert default_irreducible(2, 3) == (1, 1, 0, 1)
-    with pytest.raises(ValueError, match="no default"):
-        default_irreducible(11, 3)
+    assert field_make(2, 3).irreducible == (1, 1, 0, 1)
+    with pytest.raises(ValueError, match="^no default defining polynomial for GF\\(11\\^3\\)$"):
+        field_make(11, 3)
 
 
 def test_entries_round_trip_through_files(tmp_path):

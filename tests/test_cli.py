@@ -223,6 +223,68 @@ def test_verify_non_text_row_label_exit_4(tmp_path, capsys, label):
     assert capsys.readouterr().err.startswith("error: malformed bundle")
 
 
+@pytest.mark.parametrize("label", [5, 5.0, True])
+def test_non_text_label_of_a_residue_label_group_exit_4(tmp_path, capsys, label):
+    """A number in place of a Z_s label text is refused like any other
+    non-text label, not read as the value it holds."""
+    z6 = nestfill.ResidueGroup(6)
+    prefix = str(tmp_path / "b")
+    nestfill.save_bundle(prefix, nestfill.LevelArray((z6,), [[0], [1]], row_labels=(4, 3), label_group=z6))
+    assert nestfill.load_bundle(prefix)[0].row_labels == (4, 3)
+    meta = json.loads((tmp_path / "b.json").read_text())
+    meta["row_labels"][0] = label
+    (tmp_path / "b.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("info", prefix) == 4
+    assert "is not element text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, kinds", [(["thm9"], {"identity", "truncation", "product"}), (["thm8", "b=1"], {"identity", "residue"})])
+def test_kronecker_bundle_projections_round_trip(tmp_path, capsys, argv, kinds):
+    """Every projection kind a Kronecker bundle carries, the parts of a
+    product included, loads back equal to the built one."""
+    prefix = str(tmp_path / "k")
+    assert run("construct", *argv, "--out", prefix) == 0
+    built, _ = cli._build(argv[0], argv[1:])
+    loaded, kind = nestfill.load_bundle(prefix)
+    assert kind == "noa" and loaded == built
+    assert {p.kind for p in loaded.projections} == kinds
+    assert run("verify", "noa", prefix) == 0
+    assert capsys.readouterr().out.endswith("NOA: PASS\n")
+
+
+def test_product_part_with_a_target_of_the_wrong_kind_exit_4(tmp_path, capsys):
+    prefix = str(tmp_path / "k")
+    assert run("construct", "thm9", "--out", prefix) == 0
+    meta = json.loads((tmp_path / "k.json").read_text())
+    part = meta["nested"]["projections"][0]["parts"][0]
+    assert part["kind"] == "truncation"
+    part["target"] = {"kind": "zmod", "s": 2}
+    (tmp_path / "k.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("verify", "noa", prefix) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed bundle") and "needs a Galois field alphabet, not Z_2" in err
+
+
+def test_failed_replace_leaves_no_temporary_and_the_old_bundle(tmp_path, capsys, monkeypatch):
+    """A write that cannot be moved into place removes its temporary file
+    and leaves the file it would have replaced as it was."""
+    prefix = str(tmp_path / "b")
+    assert run("construct", "theorem1", "m=2", "--out", prefix) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def refuse(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    capsys.readouterr()
+    assert run("construct", "theorem1", "m=3", "--out", prefix) == 4
+    assert capsys.readouterr().err.startswith("error: cannot replace")
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("where", ["columns", "projection source", "residue target"])
 def test_non_integral_residue_modulus_exit_4(tmp_path, capsys, where):
     """A column over Z_6.0 used to load and then crash the counting with a

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from nestfill import algebra
 from nestfill.algebra import (
+    DEFAULT_IRREDUCIBLES,
     MAX_ORDER,
     GaloisGroup,
     ProductGroup,
@@ -28,7 +29,6 @@ from nestfill.algebra import (
     text_codec,
 )
 from nestfill.arrays import FormatError, LevelArray, _parse_grid, read_array_csv, write_array_csv
-from nestfill.catalog import DEFAULT_IRREDUCIBLES
 from nestfill.cli import main
 
 FIELDS = [GaloisGroup(field_make(p, u)) for p, u in sorted(DEFAULT_IRREDUCIBLES)]

@@ -194,6 +194,26 @@ def test_p3_gf81_shape():
     assert pair.parent.shape == (81, 9)
 
 
+@pytest.mark.parametrize(
+    "instance, p, u, degree, texts",
+    [("gf27_to_gf9", 3, 3, 0, ["0", "2x^2+x", "x^2+2x"]), ("gf81_to_gf27", 3, 4, 1, ["0", "2x^3+x^2", "x^3+2x^2"])],
+)
+def test_p3_shifts_are_indices_read_without_element_text(monkeypatch, instance, p, u, degree, texts):
+    """The child rows are the docstring's shifts plus r_m, as the element
+    path reads them; a second call parses and indexes no element."""
+    f = field_make(p, u)
+    labels = [f.element(i) for i in range(p ** (degree + 1))]
+    want = tuple(f.index(f.add(f.parse(t), r)) for t in texts for r in labels)
+    first = ndm_p3(instance)
+    assert first.child_rows == want
+    calls = []
+    for name in ("parse", "index"):
+        real = getattr(type(f), name)
+        monkeypatch.setattr(type(f), name, lambda self, e, real=real, name=name: calls.append(name) or real(self, e))
+    assert ndm_p3(instance) == first
+    assert calls == []
+
+
 def test_p3_unknown_instance():
     with pytest.raises(ValueError, match="instance"):
         ndm_p3("gf9_to_gf3")

@@ -225,6 +225,19 @@ def test_row_and_column_selections_skip_a_second_admission(monkeypatch):
         LevelArray((ResidueGroup(2),), _Owned(np.array([[0], [2]], dtype=INDEX_DTYPE)))
 
 
+def test_a_labelled_bundle_admits_its_data_once(tmp_path, monkeypatch):
+    """The row labels are attached to the data read from the CSV without a
+    second admission of that data."""
+    prefix = str(tmp_path / "m")
+    assert cli.main(["construct", "multtable", "s=16", "--out", prefix]) == 0
+    seen = []
+    real = LevelArray._admit
+    monkeypatch.setattr(LevelArray, "_admit", lambda self, name, data: seen.append(data.shape) or real(self, name, data))
+    loaded, _ = load_bundle(prefix)
+    assert seen == [(16, 16)]
+    assert loaded == mult_table_array(field_make(2, 4))
+
+
 def test_alphabet_orders_are_bounded_by_the_index_dtype():
     assert ResidueGroup(MAX_ORDER).order == MAX_ORDER
     assert ProductGroup((ResidueGroup(2**15), ResidueGroup(2**16 - 1))).order < MAX_ORDER

@@ -18,6 +18,7 @@ from conftest import ex12_inputs, ex13_dm, ex13_noa, thm8_inputs
 
 from nestfill import algebra
 from nestfill.algebra import (
+    DEFAULT_IRREDUCIBLES,
     INDEX_DTYPE,
     Field,
     GaloisGroup,
@@ -38,7 +39,6 @@ from nestfill.algebra import (
     truncation,
 )
 from nestfill.arrays import NestedPair
-from nestfill.catalog import DEFAULT_IRREDUCIBLES
 from nestfill.constructions import (
     SEC34_GF32_POLY,
     THEOREM3_POLYS,
