@@ -379,14 +379,16 @@ def _block_width(n: int) -> int:
 def _block_layout(data: np.ndarray, s: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """A column-major copy of ``data``, each column raised by ``P[j]``, the
     orders of the columns before ``j`` in its block, and ``P`` itself.
-    A column of the copy is one contiguous read; the copy is int32 unless
-    the pair codes of a block need more.  It is always a new, writeable
-    array: ``np.ascontiguousarray`` would hand back a one-column ``data``
-    itself."""
+    A column of the copy is one contiguous read.  Every pair code of a block
+    is below ``top = max(s) * max(P + s)``, and the copy takes the narrowest
+    dtype that holds it: int16 when ``top < 2**15``, int32 when ``top <
+    2**31``, int64 otherwise.  It is always a new, writeable array:
+    ``np.ascontiguousarray`` would hand back a one-column ``data`` itself."""
     before = np.cumsum(s) - s
     before -= before[np.arange(len(s)) // width * width]
     top = int(s.max()) * int((before + s).max())
-    out = np.array(data.T, dtype=np.int32 if top < 2**31 else np.int64, order="C")
+    dtype = np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64
+    out = np.array(data.T, dtype=dtype, order="C")
     out += before[:, None]
     return out, before
 
@@ -404,6 +406,10 @@ def check_oa(a: LevelArray) -> Verdict:
     In a block, pair (i, j) owns the ``s_i * s_j`` slots from ``s_i * P[j]``
     on, where ``P[j]`` sums the orders of the block's columns before ``j``,
     and the level pair (l_i, l_j) is slot ``s_i * (l_j + P[j]) + l_i``.
+    The copy, the leading column and the codes share one dtype, the
+    narrowest of int16, int32 and int64 that holds every code (see
+    :func:`_block_layout`); the one negative step, ``l_i - s_i * P[j0]``, is
+    above ``-top``, so no step wraps.
 
     When every column has the same order ``s``, the divisibility test is the
     one scalar ``n % s**2``, and a block passes when the minimum of its
@@ -781,16 +787,54 @@ def cast_group(a: LevelArray, group: Group) -> LevelArray:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _temporary(path: str, content: str | bytes) -> str:
+    """A new temporary file beside ``path`` holding ``content``."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if isinstance(content, bytes) else "w") as fh:
             fh.write(content)
-        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        os.unlink(tmp)
+        raise
+    return tmp
+
+
+def _atomic_write(files: dict[str, str | bytes]) -> None:
+    """Write each ``path: content`` of ``files``, all of them or none.
+
+    Every temporary file is written before any file is replaced.  If a
+    write or a replace raises, the temporary files are removed and the files
+    already replaced get their old bytes back (or are removed, if they are
+    new), so a failure leaves no new file beside an old one unless putting
+    one back fails too.
+    """
+    temps: dict[str, str] = {}
+    replaced: list[tuple[str, bytes | None]] = []  # each replaced file and its old bytes
+    try:
+        for path, content in files.items():
+            temps[path] = _temporary(path, content)
+        *first, last = temps
+        for path in first:
+            try:
+                with open(path, "rb") as fh:
+                    old = fh.read()
+            except FileNotFoundError:
+                old = None
+            os.replace(temps[path], path)
+            del temps[path]
+            replaced.append((path, old))
+        # nothing can fail once the last file is in place: its old bytes
+        # are never put back, so they are not read
+        os.replace(temps[last], last)
+        del temps[last]
+    except BaseException:
+        for tmp in temps.values():
             os.unlink(tmp)
+        for path, old in replaced:
+            if old is None:
+                os.unlink(path)
+            else:
+                _atomic_write({path: old})
         raise
 
 
@@ -823,11 +867,16 @@ def _parse_grid(groups: Sequence[Group], rows: list[list[str]], where: str) -> n
     return data
 
 
-def write_array_csv(path: str, a: LevelArray) -> None:
-    """Write the run matrix: header ``c1,...,cm``, canonical element text."""
+def _csv_text(a: LevelArray) -> str:
+    """The run matrix as CSV text: header ``c1,...,cm``, canonical element text."""
     lines = [",".join(f"c{j + 1}" for j in range(a.n_cols))]
     lines.extend(",".join(row) for row in a.texts())
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_array_csv(path: str, a: LevelArray) -> None:
+    """Write the run matrix: header ``c1,...,cm``, canonical element text."""
+    _atomic_write({path: _csv_text(a)})
 
 
 def read_array_csv(path: str, groups: Sequence[Group]) -> LevelArray:
@@ -862,12 +911,13 @@ def _sidecar_dict(obj: LevelArray | NestedPair, kind: str | None) -> dict:
 
 def save_bundle(prefix: str, obj: LevelArray | NestedPair, kind: str | None = None) -> tuple[str, str]:
     """Write ``prefix.csv`` plus the ``prefix.json`` sidecar; returns the paths.
-    The sidecar is rendered first, so an error there writes neither file."""
+    Both are rendered before either is written, and they replace the old
+    pair together: a failure leaves the old pair (or no file) in place.  The
+    sidecar goes first, so only its old bytes, not the CSV's, are held."""
     arr = obj.parent if isinstance(obj, NestedPair) else obj
     csv_path, json_path = prefix + ".csv", prefix + ".json"
     sidecar = json.dumps(_sidecar_dict(obj, kind), indent=1) + "\n"
-    write_array_csv(csv_path, arr)
-    _atomic_write(json_path, sidecar)
+    _atomic_write({json_path: sidecar, csv_path: _csv_text(arr)})
     return csv_path, json_path
 
 

@@ -288,8 +288,8 @@ def cmd_lhd(args) -> int:
     # D_h is D_l at the child rows (child_points is full.points[child_rows]),
     # so its lines are D_l's lines, formatted once
     dl = _design_lines(nd.full.points)
-    _atomic_write(args.out + "_dl.csv", "\n".join(dl) + "\n")
-    _atomic_write(args.out + "_dh.csv", "\n".join([dl[0]] + [dl[1 + r] for r in nd.child_rows]) + "\n")
+    _atomic_write({args.out + "_dl.csv": "\n".join(dl) + "\n"})
+    _atomic_write({args.out + "_dh.csv": "\n".join([dl[0]] + [dl[1 + r] for r in nd.child_rows]) + "\n"})
     meta = {
         "seed": args.seed,
         "midpoint": args.midpoint,
@@ -298,7 +298,7 @@ def cmd_lhd(args) -> int:
         "runs": nd.full.n_rows,
         "columns": nd.full.n_cols,
     }
-    _atomic_write(args.out + "_meta.json", json.dumps(meta, indent=1) + "\n")
+    _atomic_write({args.out + "_meta.json": json.dumps(meta, indent=1) + "\n"})
     print(f"wrote {nd.full.n_rows}-point design and {len(obj.child_rows)}-point subset")
     for j in range(nd.full.n_cols):
         for k in range(j + 1, nd.full.n_cols):

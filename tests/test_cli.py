@@ -268,21 +268,47 @@ def test_product_part_with_a_target_of_the_wrong_kind_exit_4(tmp_path, capsys):
 
 
 def test_failed_replace_leaves_no_temporary_and_the_old_bundle(tmp_path, capsys, monkeypatch):
-    """A write that cannot be moved into place removes its temporary file
-    and leaves the file it would have replaced as it was."""
+    """A write that cannot be moved into place removes its temporary files
+    and leaves the bundle it would have replaced as it was, whether every
+    replace fails or only the second: then the CSV cannot replace the old
+    one, and the sidecar already moved into place gets its old bytes back."""
     prefix = str(tmp_path / "b")
     assert run("construct", "theorem1", "m=2", "--out", prefix) == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    replace = os.replace
+    for failing in ("every", "second"):
+        calls = []
 
-    def refuse(src, dst):
-        raise OSError(f"cannot replace {dst}")
+        def refuse(src, dst):
+            calls.append(dst)
+            if failing == "every" or len(calls) == 2:
+                raise OSError(f"cannot replace {dst}")
+            replace(src, dst)
 
-    monkeypatch.setattr(os, "replace", refuse)
-    capsys.readouterr()
-    assert run("construct", "theorem1", "m=3", "--out", prefix) == 4
+        monkeypatch.setattr(os, "replace", refuse)
+        capsys.readouterr()
+        assert run("construct", "theorem1", "m=3", "--out", prefix) == 4, failing
+        assert capsys.readouterr().err.startswith("error: cannot replace")
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert calls[:2] == [prefix + ".json", prefix + ".csv"]
+
+
+def test_failed_replace_of_a_new_bundle_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """When the CSV of a bundle that did not exist cannot be moved into
+    place, the sidecar already moved there is removed again."""
+    replace, calls = os.replace, []
+
+    def refuse_second(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(f"cannot replace {dst}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_second)
+    assert run("construct", "theorem1", "m=2", "--out", str(tmp_path / "b")) == 4
     assert capsys.readouterr().err.startswith("error: cannot replace")
-    assert list(tmp_path.glob("*.tmp")) == []
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("where", ["columns", "projection source", "residue target"])

@@ -14,6 +14,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nestfill import arrays
@@ -461,7 +462,8 @@ def _is_fresh_copy(out: np.ndarray, data: np.ndarray) -> bool:
 def test_block_layout_copies_one_column_and_int32_input():
     """``_block_layout`` raises the copy in place, so it must never hand back
     its input: not a one-column block, whose transpose is already
-    contiguous, nor int32 input, whose dtype needs no cast."""
+    contiguous, nor int32 input, whose dtype needs no cast.  The copy is
+    int16 while every code is below 2**15, int32 from there."""
     one = LevelArray((ResidueGroup(5),), np.arange(10)[:, None] % 5).data
     out, before = arrays._block_layout(one, np.array([5]), 16)
     assert _is_fresh_copy(out, one) and out.tolist() == [list(range(5)) * 2]
@@ -470,9 +472,59 @@ def test_block_layout_copies_one_column_and_int32_input():
     assert data.dtype == np.int32
     s = np.array([3, 2, 4])
     out, before = arrays._block_layout(data, s, 2)
-    assert _is_fresh_copy(out, data) and out.dtype == np.int32
+    assert _is_fresh_copy(out, data) and out.dtype == np.int16
     assert before.tolist() == [0, 3, 0]
     assert np.array_equal(out, data.T + before[:, None])
+    s = np.array([200, 200, 2])  # top 200 * 402 = 80400
+    out, before = arrays._block_layout(data, s, 3)
+    assert _is_fresh_copy(out, data) and out.dtype == np.int32
+    assert before.tolist() == [0, 200, 400]
+    assert np.array_equal(out, data.T + before[:, None])
+
+
+def _zero_sum(s: int) -> LevelArray:
+    """The s² runs ``(i, j, -(i + j))`` over Z_s: an OA of strength two."""
+    i, j = np.divmod(np.arange(s * s), s)
+    return LevelArray((ResidueGroup(s),) * 3, np.column_stack([i, j, -(i + j) % s]))
+
+
+def _mixed(orders: tuple[int, ...]) -> LevelArray:
+    return full_factorial(tuple(map(ResidueGroup, orders)))
+
+
+@pytest.mark.parametrize(
+    "make, arg, dtype",
+    [
+        (_zero_sum, 104, np.int16),  # top 104 * 312 = 32448
+        (_zero_sum, 105, np.int32),  # top 105 * 315 = 33075
+        (_mixed, (127, 2, 127), np.int16),  # top 127 * 256 = 32512
+        (_mixed, (128, 2, 127), np.int32),  # top 128 * 257 = 32896
+    ],
+    ids=["Z104", "Z105", "mixed-127", "mixed-128"],
+)
+def test_codes_on_each_side_of_the_int16_bound_match_reference(make, arg, dtype):
+    """Arrays whose largest pair code is just below and just above 2**15
+    pass at the library's width with the dtype of the rule, and a defect in
+    their first pair or only in their last gets the reference's witness."""
+    a = make(arg)
+    dtypes = []
+    layout = arrays._block_layout
+
+    def spy(*args):
+        out, before = layout(*args)
+        dtypes.append(out.dtype)
+        return out, before
+
+    with mock.patch.object(arrays, "_block_layout", spy):
+        first = a.data.copy()
+        first[0, 1] = (first[0, 1] + 1) % a.groups[1].order
+        last = _late_swap(a.data, 1, 2)
+        for data, columns in ((a.data, None), (first, (0, 1)), (last, (1, 2))):
+            planted = LevelArray(a.groups, data)
+            v = check_oa(planted)
+            assert v == reference_check_oa(planted)
+            assert (v.witness or {}).get("columns") == columns
+    assert set(dtypes) == {np.dtype(dtype)}
 
 
 # ---------------------------------------------------------------------------
