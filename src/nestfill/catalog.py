@@ -24,11 +24,14 @@ from .constructions import full_factorial
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named, validated payload plus a one-line source citation."""
+    """A named, validated payload plus a one-line source citation.  ``kind``
+    is what the payload was verified as, or None when it was checked in
+    parts."""
 
     name: str
     payload: object
     provenance: str
+    kind: str | None = None
 
 
 def _data_text(filename: str) -> str:
@@ -53,7 +56,7 @@ def _gf(p: int, u: int) -> GaloisGroup:
 def _entry(name: str, kind: str, obj, cite: str) -> CatalogEntry:
     """Entry ``name`` holding ``obj``, once ``obj`` passes as ``kind``."""
     require(obj, kind, _failed(name))
-    return CatalogEntry(name, obj, cite)
+    return CatalogEntry(name, obj, cite, kind)
 
 
 #: The difference matrices stored exactly as printed, each in the data file

@@ -59,21 +59,13 @@ from .mixed import mixed_dm_lemma7, noa_theorem9, ww_from_ndms, ww_from_noas
 from .nsfd import _strata, nested_design
 
 
-class UsageError(Exception):
-    pass
-
-
-class IoFailed(Exception):
-    pass
-
-
 def _order(text: str):
     """The Galois field of a prime-power order; too large an order is refused unfactored."""
     if int(text) > MAX_FIELD_ORDER:
-        raise UsageError(f"field order {text} exceeds the supported maximum {MAX_FIELD_ORDER}")
+        raise ValueError(f"field order {text} exceeds the supported maximum {MAX_FIELD_ORDER}")
     pp = prime_power(int(text))
     if pp is None:
-        raise UsageError(f"{text} is not a prime power")
+        raise ValueError(f"{text} is not a prime power")
     return field_make(*pp)
 
 
@@ -82,7 +74,7 @@ def _entry(name: str):
     try:
         return cat.catalog_get(name)
     except KeyError as e:
-        raise UsageError(e.args[0]) from None
+        raise ValueError(e.args[0]) from None
 
 
 def _ref(text: str):
@@ -92,7 +84,7 @@ def _ref(text: str):
         return _entry(text).payload
     name, _, argstr = text.partition(":")
     if name == "validation":
-        raise UsageError("validation builds an array and a nested pair, so it cannot be a reference")
+        raise ValueError("validation builds an array and a nested pair, so it cannot be a reference")
     return _build(name, argstr.split(",") if argstr else [])[0]
 
 
@@ -117,9 +109,9 @@ def _load_plan(path: str):
         with open(path) as fh:
             plan = json.load(fh)
     except OSError as e:
-        raise IoFailed(f"cannot read plan file: {e}") from None
+        raise OSError(f"cannot read plan file: {e}") from None
     except json.JSONDecodeError as e:
-        raise IoFailed(f"plan file is not valid JSON: {e}") from None
+        raise FormatError(f"plan file is not valid JSON: {e}") from None
     try:
         refs = [plan["parent"]] + [b["ref"] for b in plan["blocks"]]
         cols = [tuple(b["cols"]) for b in plan["blocks"]]
@@ -129,7 +121,7 @@ def _load_plan(path: str):
         if not isinstance(use_b, bool):
             raise TypeError(f"b must be true or false, got {use_b!r}")
     except (LookupError, TypeError) as e:
-        raise IoFailed(f"malformed plan file {path}: {type(e).__name__}: {e}") from None
+        raise FormatError(f"malformed plan file {path}: {type(e).__name__}: {e}") from None
     parent, *blocks = map(_ref, refs)
     return parent, list(zip(cols, blocks)), use_b
 
@@ -145,7 +137,7 @@ def _thm9(d1, d2, c0):
     d = mixed_dm_lemma7(d1, d2, c0)
     g1, g2 = d.groups[0].components
     if not isinstance(g1, GaloisGroup):
-        raise UsageError(f"thm9: d1= needs a Galois field alphabet to truncate, got {g1.describe()}")
+        raise ValueError(f"thm9: d1= needs a Galois field alphabet to truncate, got {g1.describe()}")
     delta1 = truncation(g1.field, field_make(g1.field.p, max(1, g1.field.u - 1)))
     return noa_theorem9(d, delta1, identity_projection(g2))
 
@@ -195,26 +187,26 @@ def _build(name: str, pieces) -> tuple:
     and build it; returns (object, kind).  The command line and inline
     references both come through here."""
     if name not in CONSTRUCTIONS:
-        raise UsageError(f"unknown construction {name!r}; known: {', '.join(CONSTRUCTIONS)}")
+        raise ValueError(f"unknown construction {name!r}; known: {', '.join(CONSTRUCTIONS)}")
     kind, keys, build = CONSTRUCTIONS[name]
     known = f"known keys of {name}: {', '.join(keys)}"
     given = {}
     for piece in pieces:
         k, sep, v = piece.partition("=")
         if not sep:
-            raise UsageError(f"{name}: parameters look like key=value, got {piece!r}; {known}")
+            raise ValueError(f"{name}: parameters look like key=value, got {piece!r}; {known}")
         if k not in keys:
-            raise UsageError(f"{name}: unknown parameter {k}=; {known}")
+            raise ValueError(f"{name}: unknown parameter {k}=; {known}")
         if k in given:
-            raise UsageError(f"{name}: repeated parameter {k}=; {known}")
+            raise ValueError(f"{name}: repeated parameter {k}=; {known}")
         given[k] = v
     values = {}
     for k, ((pattern, read), default) in keys.items():
         text = given.get(k, default)
         if text is ...:
-            raise UsageError(f"{name}: missing parameter {k}=; {known}")
+            raise ValueError(f"{name}: missing parameter {k}=; {known}")
         if text is not None and not re.fullmatch(pattern, text, re.DOTALL):
-            raise UsageError(f"{name}: {k}={text!r} does not match {pattern}; {known}")
+            raise ValueError(f"{name}: {k}={text!r} does not match {pattern}; {known}")
         values[k] = text if text is None else read(text)
     return build(**values), kind
 
@@ -248,7 +240,7 @@ def cmd_verify(args) -> int:
     kind = args.kind
     if kind in ("noa", "ndm"):
         if not isinstance(obj, NestedPair):
-            raise UsageError(f"{args.prefix} carries no nesting metadata")
+            raise ValueError(f"{args.prefix} carries no nesting metadata")
         v = check_nested(obj, kind)
     else:
         arr = obj.parent if isinstance(obj, NestedPair) else obj
@@ -263,7 +255,7 @@ def _load(prefix: str):
     try:
         obj, _kind = load_bundle(prefix)
     except OSError as e:
-        raise IoFailed(f"cannot read {prefix}.csv/.json: {e}") from None
+        raise OSError(f"cannot read {prefix}.csv/.json: {e}") from None
     return obj
 
 
@@ -276,10 +268,10 @@ def _design_lines(points) -> list[str]:
 
 def cmd_lhd(args) -> int:
     if args.midpoint == (args.seed is not None):
-        raise UsageError("pass exactly one of --seed N or --midpoint")
+        raise ValueError("pass exactly one of --seed N or --midpoint")
     obj = _load(args.prefix)
     if not isinstance(obj, NestedPair):
-        raise UsageError(f"{args.prefix} carries no nesting metadata")
+        raise ValueError(f"{args.prefix} carries no nesting metadata")
     nd = nested_design(obj, seed=args.seed, midpoint=args.midpoint)
     gl = [p.source.order for p in obj.projections]
     gh = [p.target.order for p in obj.projections]
@@ -288,8 +280,6 @@ def cmd_lhd(args) -> int:
     # D_h is D_l at the child rows (child_points is full.points[child_rows]),
     # so its lines are D_l's lines, formatted once
     dl = _design_lines(nd.full.points)
-    _atomic_write({args.out + "_dl.csv": "\n".join(dl) + "\n"})
-    _atomic_write({args.out + "_dh.csv": "\n".join([dl[0]] + [dl[1 + r] for r in nd.child_rows]) + "\n"})
     meta = {
         "seed": args.seed,
         "midpoint": args.midpoint,
@@ -298,7 +288,13 @@ def cmd_lhd(args) -> int:
         "runs": nd.full.n_rows,
         "columns": nd.full.n_cols,
     }
-    _atomic_write({args.out + "_meta.json": json.dumps(meta, indent=1) + "\n"})
+    # one write for the set, _dl.csv last, so that its old bytes are never held
+    files = {
+        args.out + "_dh.csv": "\n".join([dl[0]] + [dl[1 + r] for r in nd.child_rows]) + "\n",
+        args.out + "_meta.json": json.dumps(meta, indent=1) + "\n",
+        args.out + "_dl.csv": "\n".join(dl) + "\n",
+    }
+    _atomic_write(files)
     print(f"wrote {nd.full.n_rows}-point design and {len(obj.child_rows)}-point subset")
     for j in range(nd.full.n_cols):
         for k in range(j + 1, nd.full.n_cols):
@@ -311,8 +307,7 @@ def cmd_lhd(args) -> int:
 
 def cmd_export(args) -> int:
     entry = _entry(args.name)
-    kind = "noa" if isinstance(entry.payload, NestedPair) else None
-    save_bundle(args.out, entry.payload, kind)
+    save_bundle(args.out, entry.payload, entry.kind)
     print(f"{args.name} -> {args.out}.csv ({entry.provenance})")
     return 0
 
@@ -401,10 +396,10 @@ def main(argv=None) -> int:
     except VerificationError as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 3
-    except (IoFailed, FormatError, OSError) as e:
+    except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

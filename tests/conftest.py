@@ -1,15 +1,17 @@
-"""Shared test helpers: independent oracles and randomized inputs.
+"""Shared test helpers: the counting reference and randomized inputs.
 
-The oracles here deliberately avoid the library's checker code paths: pair
-counting is redone with plain dictionaries, and uniformity is judged by
-sorting multisets.  Tests that compare library verdicts against these keep
-the two routes honest.  The published inputs of the mixed-level
+Every verdict the tests compare against is ``bench/reference.py``'s, loaded
+here by file path.  It imports nothing from nestfill and builds its own
+tables and element texts, so a wrong table, codec or kernel cannot be wrong
+on both sides of a comparison.  The published inputs of the mixed-level
 constructions are built here once for the tests that pin their outputs.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,55 +21,82 @@ from nestfill.algebra import (
     ResidueGroup,
     add_table,
     field_make,
+    group_to_dict,
     identity_projection,
-    neg_table,
     truncation,
 )
-from nestfill.arrays import LevelArray, NestedPair
+from nestfill.arrays import LevelArray, NestedPair, Verdict
 from nestfill.catalog import catalog_derive, catalog_get
 from nestfill.constructions import full_factorial, mult_table
 from nestfill.mixed import mixed_dm_lemma7, noa_theorem9
 
 
-def naive_pair_counts(data, i, j):
-    """Definition-level recount of ordered level pairs in columns (i, j)."""
-    counts = {}
-    for row in data:
-        key = (int(row[i]), int(row[j]))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+_SPEC = importlib.util.spec_from_file_location("reference", Path(__file__).parents[1] / "bench" / "reference.py")
+reference = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(reference)
 
 
-def naive_is_oa(arr: LevelArray) -> bool:
-    n, m = arr.shape
-    for i in range(m):
-        for j in range(i + 1, m):
-            si, sj = arr.groups[i].order, arr.groups[j].order
-            if n % (si * sj):
-                return False
-            counts = naive_pair_counts(arr.data, i, j)
-            want = n // (si * sj)
-            for a in range(si):
-                for b in range(sj):
-                    if counts.get((a, b), 0) != want:
-                        return False
-    return True
+def _text(g, index: int) -> str:
+    spec = group_to_dict(g)  # a residue ring's text is its value: no Z_s table is built
+    return str(index) if spec["kind"] == "zmod" else reference.alphabet(spec).text(index)
 
 
-def naive_is_dm(arr: LevelArray) -> bool:
-    g = arr.groups[0]
-    add, neg = add_table(g), neg_table(g)
-    b, m = arr.shape
-    if b % g.order:
-        return False
-    expected = sorted(list(range(g.order)) * (b // g.order))
-    for i, j in itertools.permutations(range(m), 2):
-        diffs = sorted(
-            int(add[arr.data[r, i], neg[arr.data[r, j]]]) for r in range(b)
-        )
-        if diffs != expected:
-            return False
-    return True
+def _oa_failure(data, groups):
+    n, m = data.shape
+    s = [g.order for g in groups]
+    if m == 1:
+        v = reference.oa_violation(data, s)
+        if v and n % s[0]:
+            return f"{n} rows not divisible by {s[0]} levels", None
+        if v:
+            return "single column is not level-balanced", {"level": _text(groups[0], v[2]), "count": v[4], "expected": v[5]}
+    # pair by pair: on the whole array, oa_violation tests a leading column's
+    # divisibility by every later column before it counts any of its pairs
+    for i, j in itertools.combinations(range(m), 2):
+        v = reference.oa_violation(data[:, [i, j]], [s[i], s[j]])
+        if v and v[2] is None:
+            return f"{n} rows not divisible by {s[i]}*{s[j]} level combinations", {"columns": (i, j)}
+        if v:
+            levels = (_text(groups[i], v[2]), _text(groups[j], v[3]))
+            return "unbalanced level pair", {"columns": (i, j), "levels": levels, "count": v[4], "expected": v[5]}
+
+
+def _dm_failure(data, groups, alphabet):
+    specs = [group_to_dict(g) for g in groups]
+    if any(spec != specs[0] for spec in specs):
+        raise ValueError("columns do not share a single alphabet; this operation needs one")
+    alphabet = alphabet or reference.alphabet(specs[0])
+    v = reference.dm_violation(data, alphabet)
+    if v and v[2] is None:
+        return f"{len(data)} rows not divisible by group order {alphabet.order}", None
+    if v:
+        witness = {"columns": v[:2], "element": _text(groups[0], v[2]), "count": v[3], "expected": v[4]}
+        return "unbalanced column difference", witness
+
+
+def reference_verdict(obj, kind: str, alphabet=None) -> Verdict:
+    """The verdict of ``obj`` as ``kind`` (oa, dm, noa or ndm), counted by
+    ``bench/reference.py``.  ``alphabet`` stands in for a DM's reference
+    alphabet, with its ``order`` and ``sub``.  A nested pair's child is
+    collapsed by the projection tables, once the reference accepts each."""
+    if kind in ("oa", "dm"):
+        n, m = obj.data.shape
+        if n == 0 or m == 0:
+            return Verdict(False, kind, f"empty array: {n} rows, {m} columns")
+        failure = _oa_failure(obj.data, obj.groups) if kind == "oa" else _dm_failure(obj.data, obj.groups, alphabet)
+        return Verdict(False, kind, *failure) if failure else Verdict(True, kind)
+    inner = {"noa": "oa", "ndm": "dm"}[kind]
+    parent = reference_verdict(obj.parent, inner)
+    if not parent:
+        return Verdict(False, kind, f"parent fails: {parent.reason}", parent.witness)
+    tables = [np.asarray(p.table) for p in obj.projections]
+    for p, table in zip(obj.projections, tables):
+        assert reference.is_projection(table, *(reference.alphabet(group_to_dict(g)) for g in (p.source, p.target)))
+    child = reference.collapse(obj.parent.data[list(obj.child_rows)], tables)
+    child = reference_verdict(LevelArray([p.target for p in obj.projections], child), inner)
+    if not child:
+        return Verdict(False, kind, f"collapsed child fails: {child.reason}", child.witness)
+    return Verdict(True, kind)
 
 
 def randomize_array(arr: LevelArray, rng: np.random.Generator) -> LevelArray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_is_dm, naive_is_oa, randomize_array
+from conftest import randomize_array, reference_verdict
 
 from nestfill.algebra import (
     GaloisGroup,
@@ -93,7 +93,7 @@ def test_check_oa_against_naive_recount_on_random_arrays():
             c = rng.integers(0, arr.n_cols)
             data[r, c] = (data[r, c] + 1) % arr.groups[c].order
             arr = LevelArray(arr.groups, data)
-        assert bool(check_oa(arr)) == naive_is_oa(arr)
+        assert check_oa(arr) == reference_verdict(arr, "oa")
 
 
 def test_mult_table_is_dm(gf4):
@@ -119,11 +119,12 @@ def test_check_dm_against_naive(gf4, gf8):
     rng = np.random.default_rng(7)
     for base in [mult_table(gf4), mult_table(gf8), catalog_derive("d_12_6_6")]:
         arr = randomize_array(base, rng)
-        assert bool(check_dm(arr)) == naive_is_dm(arr)
+        assert check_dm(arr) == reference_verdict(arr, "dm")
         data = arr.data.copy()
         data[0, 1] = (data[0, 1] + 1) % arr.groups[0].order
         bad = LevelArray(arr.groups, data)
-        assert bool(check_dm(bad)) == naive_is_dm(bad) == False
+        v = check_dm(bad)
+        assert not v and v == reference_verdict(bad, "dm")
 
 
 # ---------------------------------------------------------------------------

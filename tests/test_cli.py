@@ -124,16 +124,37 @@ def test_lhd_requires_seed_or_midpoint(tmp_path):
     assert run("lhd", prefix, "--seed", "1", "--midpoint", "--out", str(tmp_path / "no")) == 2
 
 
-def test_lhd_needs_nesting_metadata(tmp_path):
+def test_lhd_needs_nesting_metadata(tmp_path, capsys):
     prefix = str(tmp_path / "plain")
     assert run("construct", "raohamming", "s=4", "k=2", "--out", prefix) == 0
-    assert run("lhd", prefix, "--midpoint", "--out", str(tmp_path / "o")) == 2
+    for argv in (["lhd", prefix, "--midpoint", "--out", str(tmp_path / "o")], ["verify", "noa", prefix]):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {prefix} carries no nesting metadata\n"
 
 
 def test_export_and_verify_published_table(tmp_path):
     prefix = str(tmp_path / "t4")
     assert run("export", "ex14_table4", "--out", prefix) == 0
     assert run("verify", "oa", prefix) == 0
+
+
+def test_export_writes_the_kind_each_entry_was_verified_as(tmp_path, capsys):
+    """Every entry verified whole is exported with its kind, which ``verify``
+    then passes; the two checked block by block carry none."""
+    from nestfill.catalog import catalog_names
+
+    names = catalog_names()
+    kinds = {}
+    for name in names:
+        prefix = str(tmp_path / name)
+        assert run("export", name, "--out", prefix) == 0
+        kinds[name] = json.loads((tmp_path / f"{name}.json").read_text())["kind"]
+        if kinds[name] is not None:
+            assert run("verify", kinds[name], prefix) == 0, name
+    assert len(names) == 15
+    assert {name for name, kind in kinds.items() if kind is None} == {"ex10_a2", "ex13_d"}
+    assert kinds["ex11_ndm"] == kinds["d_4_4_2_nested"] == "ndm" and kinds["ex12_noa"] == "noa"
 
 
 def test_export_unknown_entry(tmp_path):
@@ -146,7 +167,15 @@ def test_catalog_list_and_show(capsys):
     assert "seberry_12_12_4" in names
     assert run("catalog", "show", "ex3_phi_d2") == 0
     out = capsys.readouterr().out
-    assert "4 x 4" in out
+    assert "4 x 4" in out and "child rows" not in out
+    assert run("catalog", "show", "ex11_ndm") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [
+        "ex11_ndm: 12 x 6 (Qian, Ai and Wu (2009), Example 11 nesting of d_12_6_6)",
+        "alphabets: Z_6, Z_6, Z_6, Z_6, Z_6, Z_6",
+        "child rows: [0, 3, 4, 5, 7, 11]",
+    ]
+    assert len(out) == 3 + 12
     assert run("catalog", "show") == 2
 
 
@@ -309,6 +338,34 @@ def test_failed_replace_of_a_new_bundle_leaves_no_file(tmp_path, capsys, monkeyp
     assert run("construct", "theorem1", "m=2", "--out", str(tmp_path / "b")) == 4
     assert capsys.readouterr().err.startswith("error: cannot replace")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("over", [True, False], ids=["old-set", "new-set"])
+@pytest.mark.parametrize("failing", [1, 2, 3])
+def test_failed_lhd_replace_leaves_no_temporary_and_the_old_set(tmp_path, capsys, monkeypatch, failing, over):
+    """``lhd`` replaces its three files together: when its first, second or
+    third replace fails, it exits 4 and leaves the set it would have
+    replaced byte for byte, or no file if there was none."""
+    prefix, out = str(tmp_path / "b"), str(tmp_path / "d")
+    assert run("construct", "zerosum", "s1=4", "s2=2", "--out", prefix) == 0
+    if over:
+        assert run("lhd", prefix, "--seed", "1", "--out", out) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    replace, calls = os.replace, []
+
+    def refuse(src, dst):
+        calls.append(dst)
+        if len(calls) == failing:
+            raise OSError(f"cannot replace {dst}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    capsys.readouterr()
+    assert run("lhd", prefix, "--seed", "2", "--out", out) == 4
+    assert capsys.readouterr().err.startswith("error: cannot replace")
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert calls[:failing] == [out + "_dh.csv", out + "_meta.json", out + "_dl.csv"][:failing]
 
 
 @pytest.mark.parametrize("where", ["columns", "projection source", "residue target"])
@@ -634,8 +691,9 @@ def test_damaged_bundle_exit_codes(noa_bundle, data, which):
         {"parent": "ex12_noa", "blocks": [{"cols": [0]}, {"cols": [1], "ref": "d_12_6_6"}]},
         {"parent": "ex12_noa", "blocks": [{"cols": [0], "ref": "d_12_6_6"}, {"cols": [1], "ref": "seberry_12_12_4"}],
          "b": "no"},
+        {"parent": "ex12_noa", "blocks": [{"cols": [0], "ref": 12}]},
     ],
-    ids=["no-parent", "not-an-object", "block-without-ref", "non-boolean-b"],
+    ids=["no-parent", "not-an-object", "block-without-ref", "non-boolean-b", "numeric-ref"],
 )
 @pytest.mark.parametrize("verb", ["thm7", "thm8"])
 def test_malformed_plan_exit_4(tmp_path, capsys, plan, verb):
@@ -644,6 +702,24 @@ def test_malformed_plan_exit_4(tmp_path, capsys, plan, verb):
     assert run("construct", verb, f"plan={tmp_path / 'plan.json'}", "--out", str(tmp_path / "x")) == 4
     assert capsys.readouterr().err.startswith("error: malformed plan file")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        (None, "error: cannot read plan file: [Errno 2] No such file or directory"),
+        ("{parent", "error: plan file is not valid JSON: Expecting property name enclosed in double quotes"),
+    ],
+    ids=["missing", "not-json"],
+)
+@pytest.mark.parametrize("verb", ["thm7", "thm8"])
+def test_unreadable_plan_exit_4(tmp_path, capsys, verb, text, says):
+    if text is not None:
+        (tmp_path / "plan.json").write_text(text)
+    capsys.readouterr()
+    assert run("construct", verb, f"plan={tmp_path / 'plan.json'}", "--out", str(tmp_path / "x")) == 4
+    assert capsys.readouterr().err.startswith(says)
+    assert list(tmp_path.glob("x*")) == []
 
 
 @pytest.mark.parametrize(
@@ -728,9 +804,12 @@ def test_unknown_catalog_entry_message_is_not_quoted(capsys, argv):
         (["theorem1", "m=+2"], "m='+2' does not match"),
         (["theorem1", "m=1_0"], "m='1_0' does not match"),
         (["theorem4", "a=validation:m=2"], "validation builds an array and a nested pair"),
+        (["theorem4", "a=nosuch:k=1"], "unknown construction 'nosuch'; known: theorem1, theorem2,"),
+        (["trivial", "s=512"], "field order 512 exceeds the supported maximum 256"),
     ],
     ids=["unknown-key", "repeated-key", "flag-out-of-range", "unknown-key-in-reference",
-         "space-in-integer", "signed-integer", "underscore-in-integer", "validation-as-reference"],
+         "space-in-integer", "signed-integer", "underscore-in-integer", "validation-as-reference",
+         "unknown-construction-in-reference", "field-order-too-large"],
 )
 def test_grammar_refusals_exit_2_and_write_nothing(tmp_path, capsys, argv, says):
     capsys.readouterr()

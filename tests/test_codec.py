@@ -303,7 +303,7 @@ def _sha(data: bytes) -> str:
             ["export", "dulmage_12_6_12"],  # a product alphabet
             {
                 "b.csv": "6627f3556bd702a44e1df2e30dd470b88ec728cb",
-                "b.json": "5fcf588e16123e02821b75919d5e754c59ba507d",
+                "b.json": "d949ee2958d094653d5d12fe8db1069a6d08e261",
             },
         ),
     ],

@@ -1,9 +1,8 @@
-"""The counting kernels of ``check_oa`` and ``check_dm`` against the
-definition-level reference.
+"""The counting kernels of ``check_oa``, ``check_dm`` and ``check_nested``
+against the definition-level reference, ``bench/reference.py`` (through
+``conftest.reference_verdict``).
 
-The reference below is the per-pair loop: one ``bincount`` per column pair,
-in lexicographic pair order, with every ordered pair counted for difference
-matrices.  The kernels must return the same verdict, reason and witness on
+The kernels must return the reference's verdict, reason and witness on
 every input.  Most tests also shrink the block kernels' width, so that small
 arrays cross block boundaries the way large arrays do, and run both of
 ``check_dm``'s kernels (pair by pair and in blocks) whatever the size.
@@ -18,102 +17,22 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nestfill import arrays
-from nestfill.algebra import GaloisGroup, ProductGroup, ResidueGroup, field_make, sub_table
+from nestfill.algebra import GaloisGroup, ProductGroup, ResidueGroup, field_make
 from nestfill.arrays import (
     LevelArray,
+    NestedPair,
     Verdict,
     cast_group,
     check_dm,
+    check_nested,
     check_oa,
     kronecker_add,
     subcols,
 )
 from nestfill.catalog import catalog_get
-from nestfill.constructions import full_factorial, mult_table, ndm_theorem1, rao_hamming_oa
+from nestfill.constructions import full_factorial, mult_table, ndm_theorem1, qtw_noa, rao_hamming_oa
 
-
-def reference_check_oa(a: LevelArray) -> Verdict:
-    """Strength-two pair counting, one column pair at a time."""
-    n, m = a.shape
-    if n == 0 or m == 0:
-        return Verdict(False, "oa", f"empty array: {n} rows, {m} columns")
-    if m == 1:
-        s = a.groups[0].order
-        if n % s:
-            return Verdict(False, "oa", f"{n} rows not divisible by {s} levels")
-        counts = np.bincount(a.data[:, 0], minlength=s)
-        if counts.min() != counts.max():
-            lvl = int(np.argmin(counts))
-            return Verdict(
-                False,
-                "oa",
-                "single column is not level-balanced",
-                {"level": a.groups[0].text_at(lvl), "count": int(counts[lvl]), "expected": n // s},
-            )
-        return Verdict(True, "oa")
-    for i in range(m):
-        si = a.groups[i].order
-        for j in range(i + 1, m):
-            sj = a.groups[j].order
-            if n % (si * sj):
-                return Verdict(
-                    False,
-                    "oa",
-                    f"{n} rows not divisible by {si}*{sj} level combinations",
-                    {"columns": (i, j)},
-                )
-            want = n // (si * sj)
-            codes = a.data[:, i] * sj + a.data[:, j]
-            counts = np.bincount(codes, minlength=si * sj)
-            bad = np.flatnonzero(counts != want)
-            if bad.size:
-                code = int(bad[0])
-                return Verdict(
-                    False,
-                    "oa",
-                    "unbalanced level pair",
-                    {
-                        "columns": (i, j),
-                        "levels": (a.groups[i].text_at(code // sj), a.groups[j].text_at(code % sj)),
-                        "count": int(counts[code]),
-                        "expected": want,
-                    },
-                )
-    return Verdict(True, "oa")
-
-
-def reference_check_dm(d: LevelArray) -> Verdict:
-    """Difference counting over every ordered column pair, one at a time."""
-    b, m = d.shape
-    if b == 0 or m == 0:
-        return Verdict(False, "dm", f"empty array: {b} rows, {m} columns")
-    g = d.uniform_group()
-    order = g.order
-    if b % order:
-        return Verdict(False, "dm", f"{b} rows not divisible by group order {order}")
-    want = b // order
-    sub = sub_table(g)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            diffs = sub[d.data[:, i], d.data[:, j]]
-            counts = np.bincount(diffs, minlength=order)
-            bad = np.flatnonzero(counts != want)
-            if bad.size:
-                e = int(bad[0])
-                return Verdict(
-                    False,
-                    "dm",
-                    "unbalanced column difference",
-                    {
-                        "columns": (i, j),
-                        "element": g.text_at(e),
-                        "count": int(counts[e]),
-                        "expected": want,
-                    },
-                )
-    return Verdict(True, "dm")
+from conftest import reference_verdict
 
 
 @contextlib.contextmanager
@@ -128,20 +47,20 @@ def dm_kernel(name: str | None):
         yield
 
 
+def dm_outcome(check, a: LevelArray, *args):
+    """``check``'s DM verdict of ``a``, or the text of the ``ValueError`` it
+    raised."""
+    try:
+        return check(a, *args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
 def assert_dm_same(a: LevelArray, want, kernels=(None, "pairs", "blocks")) -> None:
-    """``check_dm`` under each kernel gives ``want``: the reference verdict,
-    or the ``ValueError`` it raised."""
+    """``check_dm`` under each kernel gives ``want``, the reference's outcome."""
     for kernel in kernels:
         with dm_kernel(kernel):
-            if isinstance(want, ValueError):
-                try:
-                    check_dm(a)
-                except ValueError as e:
-                    assert str(e) == str(want)
-                else:
-                    raise AssertionError("check_dm accepted mixed alphabets")
-            else:
-                assert check_dm(a) == want, kernel
+            assert dm_outcome(check_dm, a) == want, kernel
 
 
 def assert_same(a: LevelArray, widths=(None,)) -> None:
@@ -150,11 +69,7 @@ def assert_same(a: LevelArray, widths=(None,)) -> None:
     kernel; any other width runs its block kernel).  ``check_dm``'s pair
     kernel is run as well, on alphabets small enough to convert its
     subtraction table."""
-    want_oa = reference_check_oa(a)
-    try:
-        want_dm = reference_check_dm(a)
-    except ValueError as e:
-        want_dm = e
+    want_oa, want_dm = reference_verdict(a, "oa"), dm_outcome(reference_verdict, a, "dm")
     for w in widths:
         with mock.patch.object(arrays, "_block_width", arrays._block_width if w is None else lambda n: w):
             assert check_oa(a) == want_oa, w
@@ -280,8 +195,8 @@ def test_planted_defects_match_reference(data):
         grid = _late_swap(a.data, i, j)
         assume(grid is not None)
         planted = LevelArray(a.groups, grid)
-        if reference_check_oa(a):
-            assert reference_check_oa(planted).witness["columns"] == (i, j)
+        if reference_verdict(a, "oa"):
+            assert reference_verdict(planted, "oa").witness["columns"] == (i, j)
     else:
         planted = LevelArray(a.groups, _plant(a.data, a.groups, data.draw))
     assert_same(planted, WIDTHS)
@@ -314,12 +229,12 @@ def test_defect_past_the_first_block_at_library_width():
     planted = LevelArray(big.groups, data)
     v = check_oa(planted)
     assert not v and v.witness["columns"] == (0, 20)
-    assert v == reference_check_oa(planted)
+    assert v == reference_verdict(planted, "oa")
     for i, j in [(1, 30), (2, 33)]:
         planted = LevelArray(big.groups, _late_swap(big.data, i, j))
         v = check_oa(planted)
         assert not v and v.witness["columns"] == (i, j)
-        assert v == reference_check_oa(planted)
+        assert v == reference_verdict(planted, "oa")
 
 
 def test_degenerate_shapes_match_reference():
@@ -336,6 +251,8 @@ def test_degenerate_shapes_match_reference():
         # one order throughout, rows divisible by s but not by s^2
         LevelArray((gf4,) * 3, rao_hamming_oa(field_make(2, 2), 2).data[:8, :3]),
         LevelArray((z6,) * 4, np.arange(48).reshape(12, 4) % 6),
+        # pair (0, 1) unbalanced before pair (0, 2) fails divisibility
+        LevelArray(tuple(map(ResidueGroup, (1, 2, 3))), np.array([[0, 0, 0], [0, 0, 1]])),
     ]
     for a in cases:
         assert_same(a, WIDTHS)
@@ -360,7 +277,7 @@ def test_check_oa_allocates_no_m_squared_temporary():
             tracemalloc.stop()
         assert bool(v) == passes
         assert peak < 2 * 2**20, peak
-    assert check_oa(uniform) == reference_check_oa(uniform)
+    assert check_oa(uniform) == reference_verdict(uniform, "oa")
 
 
 def test_dm_counts_only_one_ordering():
@@ -372,7 +289,7 @@ def test_dm_counts_only_one_ordering():
     a = LevelArray((GaloisGroup(gf4),) * 4, d)
     v = check_dm(a)
     assert not v and v.witness["columns"][0] < v.witness["columns"][1]
-    assert v == reference_check_dm(a)
+    assert v == reference_verdict(a, "dm")
 
 
 def test_wide_alphabets_use_int64_codes():
@@ -398,7 +315,7 @@ def _one_cell_mutants(a: LevelArray):
 def test_every_one_cell_mutant_of_a_tight_array_fails():
     """An index-1 OA and a multiplication-table DM have no slack: changing
     any one cell unbalances some pair.  This guards the verifiers without
-    the per-pair reference above."""
+    the reference."""
     count = 0
     for p, u in ((3, 1), (2, 2), (5, 1)):
         f = field_make(p, u)
@@ -410,14 +327,36 @@ def test_every_one_cell_mutant_of_a_tight_array_fails():
     assert count == 1078
 
 
+
+def test_failing_nested_verdicts_match_reference():
+    """Nested pairs with one parent cell changed, or one child row traded
+    for one outside the child, get the reference's verdict: the parent
+    fails, or only the collapsed child does."""
+    pairs = [("ndm", catalog_get("ex11_ndm").payload), ("ndm", catalog_get("d_4_4_2_nested").payload)]
+    pairs += [("noa", catalog_get("ex12_noa").payload), ("noa", qtw_noa(field_make(2, 2), field_make(2, 1), 2))]
+    reasons = set()
+    for kind, p in pairs:
+        rows = set(p.child_rows)
+        mutants = [NestedPair(a, p.child_rows, p.projections) for a in _one_cell_mutants(p.parent)]
+        outside = [r for r in range(p.parent.n_rows) if r not in rows]
+        mutants += [NestedPair(p.parent, sorted(rows - {c} | {r}), p.projections) for c in rows for r in outside]
+        for q in [p] + mutants:
+            v = check_nested(q, kind)
+            assert v == reference_verdict(q, kind)
+            reasons.add(v.reason.split(":")[0])
+    assert reasons == {"", "parent fails", "collapsed child fails"}
+
+
 class _ResidueSubTable:
     """The subtraction table of Z_s without its s**2 cells: each cell looked
     up is worked out, ``sub[a, b]`` as the reference reads it and flat cell
     ``a * s + b`` as ``check_dm`` reads it, with numpy's bounds and its
-    wrap-around of negative indices."""
+    wrap-around of negative indices.  With its ``order`` and ``sub`` it is
+    also the reference's alphabet of Z_s."""
 
     def __init__(self, s: int):
-        self.s = s
+        self.s = self.order = s
+        self.sub = self
 
     def ravel(self):
         return self
@@ -441,18 +380,17 @@ def test_dm_lookups_past_int32_match_reference(monkeypatch):
     s = 50001  # odd, so r -> 2r is a bijection of Z_s
     table = _ResidueSubTable(s)
     monkeypatch.setattr(arrays, "sub_table", lambda g: table)
-    monkeypatch.setitem(globals(), "sub_table", lambda g: table)
     r = np.arange(s)
     grid = np.column_stack([r, np.zeros(s, dtype=np.int64), 2 * r % s])
     assert (s - 1) * s + s - 1 >= 2**31
     zs = (ResidueGroup(s),) * 3
-    assert check_dm(LevelArray(zs, grid)) == reference_check_dm(LevelArray(zs, grid)) == Verdict(True, "dm")
+    assert check_dm(LevelArray(zs, grid)) == reference_verdict(LevelArray(zs, grid), "dm", table) == Verdict(True, "dm")
     for r1, col in ((s - 1, 1), (s - 2, 2), (0, 0)):
         planted = grid.copy()
         planted[r1, col] = (planted[r1, col] + 1) % s
         a = LevelArray(zs, planted)
         v = check_dm(a)
-        assert not v and v == reference_check_dm(a)
+        assert not v and v == reference_verdict(a, "dm", table)
 
 
 def _is_fresh_copy(out: np.ndarray, data: np.ndarray) -> bool:
@@ -522,7 +460,7 @@ def test_codes_on_each_side_of_the_int16_bound_match_reference(make, arg, dtype)
         for data, columns in ((a.data, None), (first, (0, 1)), (last, (1, 2))):
             planted = LevelArray(a.groups, data)
             v = check_oa(planted)
-            assert v == reference_check_oa(planted)
+            assert v == reference_verdict(planted, "oa")
             assert (v.witness or {}).get("columns") == columns
     assert set(dtypes) == {np.dtype(dtype)}
 
@@ -586,7 +524,7 @@ def test_dm_kernels_match_reference_around_the_size_rule(data):
     if data.draw(st.booleans()):
         grid = _plant(grid, base.groups[:m], data.draw)
     a = LevelArray(base.groups[:m], grid)
-    want = reference_check_dm(a)
+    want = reference_verdict(a, "dm")
     with kernels_run() as ran:
         assert check_dm(a) == want
     assert ran == [_rule(a)]
@@ -597,7 +535,7 @@ def _dm_mutants_match_reference(a: LevelArray, kernels=(None, "pairs", "blocks")
     assert check_dm(a)
     count = 0
     for mutant in _one_cell_mutants(a):
-        want = reference_check_dm(mutant)
+        want = reference_verdict(mutant, "dm")
         assert not want
         assert_dm_same(mutant, want, kernels)
         count += 1
