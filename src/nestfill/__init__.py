@@ -44,7 +44,6 @@ from .arrays import (
 )
 from .catalog import CatalogEntry, catalog_derive, catalog_get, catalog_names
 from .constructions import (
-    ConstructionError,
     full_factorial,
     label_sequence,
     mult_table,

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain
@@ -66,7 +65,6 @@ from .algebra import (
 
 __all__ = [
     "FormatError",
-    "BundleFormatError",
     "VerificationError",
     "Verdict",
     "LevelArray",
@@ -788,10 +786,14 @@ def cast_group(a: LevelArray, group: Group) -> LevelArray:
 
 
 def _temporary(path: str, content: str | bytes) -> str:
-    """A new temporary file beside ``path`` holding ``content``."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    """A new temporary file beside ``path`` holding ``content``.  The
+    exclusive open gives it the mode any new file gets under the umask and
+    leaves a name that exists alone; the name is short so that a long
+    ``path`` cannot push it past the file-name limit."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "xb" if isinstance(content, bytes) else "x")
     try:
-        with os.fdopen(fd, "wb" if isinstance(content, bytes) else "w") as fh:
+        with fh:
             fh.write(content)
     except BaseException:
         os.unlink(tmp)
@@ -921,10 +923,6 @@ def save_bundle(prefix: str, obj: LevelArray | NestedPair, kind: str | None = No
     return csv_path, json_path
 
 
-class BundleFormatError(FormatError):
-    """A bundle's files exist but do not hold a valid bundle."""
-
-
 def _once_per_spec(build):
     """``build`` wrapped to run once per distinct sidecar dict, keyed on the
     dict's exact text (its ``repr``), so that equal specs share one
@@ -949,7 +947,7 @@ def load_bundle(prefix: str) -> tuple[LevelArray | NestedPair, str | None]:
     the data admitted with the CSV is not admitted again when they are
     attached.  A missing or unreadable file raises ``OSError``; any
     malformed content (bad JSON, wrong sidecar structure, bad CSV text, an
-    object that fails its own validation) raises :class:`BundleFormatError`.
+    object that fails its own validation) raises :class:`FormatError`.
     """
     try:
         with open(prefix + ".json") as fh:
@@ -969,4 +967,4 @@ def load_bundle(prefix: str) -> tuple[LevelArray | NestedPair, str | None]:
         return arr, meta.get("kind")
     except (LookupError, TypeError, ValueError) as e:
         detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
-        raise BundleFormatError(f"malformed bundle {prefix}: {detail}") from e
+        raise FormatError(f"malformed bundle {prefix}: {detail}") from e

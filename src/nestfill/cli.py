@@ -110,7 +110,7 @@ def _load_plan(path: str):
             plan = json.load(fh)
     except OSError as e:
         raise OSError(f"cannot read plan file: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, or bytes that are not UTF-8
         raise FormatError(f"plan file is not valid JSON: {e}") from None
     try:
         refs = [plan["parent"]] + [b["ref"] for b in plan["blocks"]]
@@ -317,6 +317,8 @@ def cmd_catalog(args) -> int:
         for name in cat.catalog_names():
             print(name)
         return 0
+    if not args.name:
+        raise ValueError("catalog show needs an entry name")
     entry = _entry(args.name)
     payload = entry.payload
     arr = payload.parent if isinstance(payload, NestedPair) else payload
@@ -388,9 +390,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.verb == "catalog" and args.action == "show" and not args.name:
-        print("catalog show needs an entry name", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except VerificationError as e:

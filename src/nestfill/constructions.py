@@ -8,12 +8,12 @@ orthogonal arrays, the zero-sum family over residue rings, the Rao-Hamming
 orthogonal arrays, and the modulus-projection family of Qian, Tang and Wu
 (2009).  Every constructor gates its inputs and its output through
 ``arrays.require`` before returning; a failure raises
-:class:`ConstructionError` (the same class as ``arrays.VerificationError``),
-so no unverified object ever escapes.  An input that has already passed the
-same gate is not counted again.  The plain tables (``mult_table``,
-``trivial_oa``, ``full_factorial``) are gated where they are used.  The
-Kronecker compositions here and in ``mixed`` all go through ``_crossed``,
-which builds the parent, the child rows and the output gate.
+``arrays.VerificationError``, so no unverified object ever escapes.  An
+input that has already passed the same gate is not counted again.  The
+plain tables (``mult_table``, ``trivial_oa``, ``full_factorial``) are
+gated where they are used.  The Kronecker compositions here and in
+``mixed`` all go through ``_crossed``, which builds the parent, the child
+rows and the output gate.
 
 Two conventions are fixed so results are reproducible cell for cell:
 
@@ -53,7 +53,6 @@ from .algebra import (
 from .arrays import (
     LevelArray,
     NestedPair,
-    VerificationError,
     _Owned,
     _check_indices,
     check_dm,
@@ -65,7 +64,6 @@ from .arrays import (
 )
 
 __all__ = [
-    "ConstructionError",
     "label_sequence",
     "mult_table",
     "trivial_oa",
@@ -83,11 +81,6 @@ __all__ = [
     "validation_pair",
     "search_nested_rows",
 ]
-
-
-#: Raised by a failing gate, whether on an input or on a constructor's own
-#: output; kept under this name for existing callers.
-ConstructionError = VerificationError
 
 
 # ---------------------------------------------------------------------------

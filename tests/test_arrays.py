@@ -22,7 +22,7 @@ from nestfill.algebra import (
     truncation,
 )
 from nestfill.arrays import (
-    BundleFormatError,
+    FormatError,
     LevelArray,
     NestedPair,
     cast_group,
@@ -464,7 +464,7 @@ def test_bundle_validates_every_distinct_spec(tmp_path, gf8, where):
         spec = meta["nested"]["projections"][17]["source"]
     spec["irreducible"] = [1, 1, 1, 1]  # (x+1)^3
     (tmp_path / "b.json").write_text(json.dumps(meta))
-    with pytest.raises(BundleFormatError, match=r"x\^3\+x\^2\+x\+1 is reducible over Z_2"):
+    with pytest.raises(FormatError, match=r"x\^3\+x\^2\+x\+1 is reducible over Z_2"):
         load_bundle(prefix)
 
 

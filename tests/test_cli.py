@@ -6,6 +6,7 @@ import json
 import os
 import re
 import resource
+import stat
 import subprocess
 import sys
 import tempfile
@@ -177,6 +178,7 @@ def test_catalog_list_and_show(capsys):
     ]
     assert len(out) == 3 + 12
     assert run("catalog", "show") == 2
+    assert capsys.readouterr().err == "error: catalog show needs an entry name\n"
 
 
 def test_info(tmp_path, capsys):
@@ -340,6 +342,38 @@ def test_failed_replace_of_a_new_bundle_leaves_no_file(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_existing_temporary_name_is_refused_and_left_alone(tmp_path, capsys, monkeypatch):
+    """A temporary file name that exists already is not written over or
+    removed: the write exits 4 and puts no bundle file in place."""
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    taken = tmp_path / f"tmp{bytes(6).hex()}.tmp"
+    taken.write_bytes(b"not a bundle")
+    assert run("construct", "theorem1", "m=2", "--out", str(tmp_path / "b")) == 4
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_bytes() == b"not a bundle"
+
+
+WRITERS = [
+    (["construct", "theorem1", "m=2", "--out", "t1"], ["t1.csv", "t1.json"]),
+    (["construct", "validation", "--out", "v"], ["v.csv", "v.json", "v_full.csv", "v_full.json"]),
+    (["export", "seberry_12_12_4", "--out", "s"], ["s.csv", "s.json"]),
+    (["construct", "qtw", "s1=8", "s2=4", "k=2", "--out", "q"], ["q.csv", "q.json"]),
+    (["lhd", "q", "--seed", "1", "--out", "d"], ["d_dl.csv", "d_dh.csv", "d_meta.json"]),
+]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, "-rw-r--r--"), (0o077, "-rw-------")], ids=["022", "077"])
+def test_written_files_get_the_mode_of_the_umask(tmp_path, monkeypatch, umask, mode):
+    """Every file ``construct``, ``export`` and ``lhd`` write gets the mode
+    any new file gets under the umask of the process."""
+    monkeypatch.chdir(tmp_path)
+    for argv, _ in WRITERS:
+        assert _process(*argv, umask=umask).returncode == 0, argv
+    modes = {p.name: stat.filemode(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {name: mode for _, names in WRITERS for name in names}
+
+
 @pytest.mark.parametrize("over", [True, False], ids=["old-set", "new-set"])
 @pytest.mark.parametrize("failing", [1, 2, 3])
 def test_failed_lhd_replace_leaves_no_temporary_and_the_old_set(tmp_path, capsys, monkeypatch, failing, over):
@@ -432,10 +466,11 @@ def test_wrong_kind_sidecar_alphabet_exit_4(tmp_path, capsys, edit, says, argv):
     assert err.startswith("error: malformed bundle") and says in err
 
 
-def _process(*argv, timeout=None, memory_mib=None):
+def _process(*argv, timeout=None, memory_mib=None, umask=-1):
     """``nestfill.cli`` run as a process; a run past ``timeout`` seconds
-    raises ``subprocess.TimeoutExpired``, and with ``memory_mib`` its
-    address space is capped at that size."""
+    raises ``subprocess.TimeoutExpired``, with ``memory_mib`` its address
+    space is capped at that size, and with ``umask`` it runs under that
+    umask."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
     def cap():
@@ -445,7 +480,7 @@ def _process(*argv, timeout=None, memory_mib=None):
     return subprocess.run(
         [sys.executable, "-m", "nestfill.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
-        preexec_fn=cap if memory_mib else None,
+        preexec_fn=cap if memory_mib else None, umask=umask,
     )
 
 
@@ -709,12 +744,15 @@ def test_malformed_plan_exit_4(tmp_path, capsys, plan, verb):
     [
         (None, "error: cannot read plan file: [Errno 2] No such file or directory"),
         ("{parent", "error: plan file is not valid JSON: Expecting property name enclosed in double quotes"),
+        (b"\xff\xfe{", "error: plan file is not valid JSON: 'utf-8' codec can't decode"),
     ],
-    ids=["missing", "not-json"],
+    ids=["missing", "not-json", "not-utf8"],
 )
 @pytest.mark.parametrize("verb", ["thm7", "thm8"])
 def test_unreadable_plan_exit_4(tmp_path, capsys, verb, text, says):
-    if text is not None:
+    if isinstance(text, bytes):
+        (tmp_path / "plan.json").write_bytes(text)
+    elif text is not None:
         (tmp_path / "plan.json").write_text(text)
     capsys.readouterr()
     assert run("construct", verb, f"plan={tmp_path / 'plan.json'}", "--out", str(tmp_path / "x")) == 4

@@ -27,6 +27,7 @@ from nestfill.algebra import (
 )
 from nestfill.arrays import (
     LevelArray,
+    VerificationError,
     check_dm,
     check_nested,
     check_oa,
@@ -36,7 +37,6 @@ from nestfill.arrays import (
 )
 from nestfill.catalog import catalog_get
 from nestfill.constructions import (
-    ConstructionError,
     _crossed,
     full_factorial,
     label_sequence,
@@ -347,7 +347,7 @@ def test_theorem4_wide_pipeline(gf4):
 def test_theorem4_rejects_unbalanced_input(gf8):
     # the checker gate guards the precondition: a single-row "array" is out
     one = subrows(trivial_oa(GaloisGroup(gf8)), [3])
-    with pytest.raises(ConstructionError, match="input array"):
+    with pytest.raises(VerificationError, match="input array"):
         noa_theorem4(one, ndm_theorem1(2))
 
 

@@ -27,7 +27,6 @@ from nestfill.arrays import (
 )
 from nestfill.catalog import catalog_get
 from nestfill.constructions import (
-    ConstructionError,
     mult_table,
     ndm_theorem1,
     noa_theorem4,
@@ -258,7 +257,12 @@ def test_failing_require_raises_and_records_nothing(monkeypatch):
 
 
 def test_construction_error_is_the_verification_error():
-    assert ConstructionError is VerificationError
+    """A constructor's failing gate raises ``VerificationError`` itself (a
+    ``ValueError``): exit 3 has one class."""
+    one_run = LevelArray((GaloisGroup(field_make(2, 3)),), [[3]])
+    with pytest.raises(VerificationError, match="input array") as e:
+        noa_theorem4(one_run, ndm_theorem1(2))
+    assert type(e.value) is VerificationError
     assert issubclass(VerificationError, ValueError)
 
 

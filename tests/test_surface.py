@@ -27,13 +27,17 @@ def test_package_reexports_only_public_names_of_its_modules():
         assert homes, name
 
 
-# wrappers of a method or of an operator, and helpers that only tests called
+# wrappers of a method or of an operator, helpers that only tests called,
+# and aliases of a class
 REMOVED = [
     *[(algebra, n) for n in ("gf_add", "gf_sub", "gf_mul", "group_add", "group_sub", "project", "rho", "poly_divmod")],
     (algebra.Field, "sub"),
     *[(arrays.LevelArray, n) for n in ("entry", "entry_text", "row_texts")],
     *[(catalog, n) for n in ("default_irreducible", "_small_dm")],
     (algebra.ResidueGroup, "parse_index"),
+    # second names of the exit-3 and exit-4 classes
+    (constructions, "ConstructionError"),
+    (arrays, "BundleFormatError"),
 ]
 
 
