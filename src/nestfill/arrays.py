@@ -12,11 +12,15 @@ every ordered level pair in every column pair, ``check_dm`` counts every
 group element in the difference of every column pair i < j (the differences
 of j and i are their negatives, so that ordering passes or fails with it).
 Both count the pairs of a leading column a block of later columns at a time,
-in one ``bincount`` over a column-major copy of the array; when every column
-has one order s, ``check_oa`` compares a block's counts with the one number
-n / s^2, and no step of either allocates m^2 cells for m columns; ``check_dm``
-counts a small array (at most 128 cells over at most 16 elements) pair by
-pair in plain Python instead.  The checkers are pure: every call counts.
+in one ``bincount`` over a column-major copy of the array, and no step of
+either allocates m^2 cells for m columns; ``check_dm`` counts a small array
+(at most 128 cells over at most 16 elements) pair by pair in plain Python
+instead.  Both judge counts by one rule, the least-count rule: the counts of
+a column pair sum to its rows, so when they all expect one whole number,
+none is below it only if all equal it, and a pair, or a block of pairs
+expecting one count, passes when its least count is the expected one.  Only
+a failing block is searched for the witness.  The checkers are pure: every
+call counts.
 
 :func:`require` is the one gate on them.  It raises
 :class:`VerificationError` on a failing verdict and records a passing kind
@@ -360,11 +364,14 @@ class NestedPair(_Value):
 # ---------------------------------------------------------------------------
 
 
-def _spans(start: int, stop: int, width: int):
+def _spans(start: int, stop: int, width: int, runs=None):
     """Consecutive column ranges ``[j0, j1)`` covering ``start..stop``, cut
-    at the multiples of ``width``."""
+    at the multiples of ``width`` and, given ``runs``, where the column
+    order changes: ``runs[j]`` ends the run of equal orders holding ``j``."""
     while start < stop:
         end = min(stop, (start // width + 1) * width)
+        if runs is not None:
+            end = min(end, runs[start])
         yield start, end
         start = end
 
@@ -401,23 +408,19 @@ def check_oa(a: LevelArray) -> Verdict:
 
     The pairs of a leading column ``i`` are counted a block of later columns
     at a time, with one ``bincount`` over a column-major copy of the array.
-    In a block, pair (i, j) owns the ``s_i * s_j`` slots from ``s_i * P[j]``
-    on, where ``P[j]`` sums the orders of the block's columns before ``j``,
-    and the level pair (l_i, l_j) is slot ``s_i * (l_j + P[j]) + l_i``.
-    The copy, the leading column and the codes share one dtype, the
-    narrowest of int16, int32 and int64 that holds every code (see
-    :func:`_block_layout`); the one negative step, ``l_i - s_i * P[j0]``, is
-    above ``-top``, so no step wraps.
-
-    When every column has the same order ``s``, the divisibility test is the
-    one scalar ``n % s**2``, and a block passes when the minimum of its
-    counts is ``n / s**2`` (they sum to that times their number, so then
-    every count is).  Only a block that fails this compare is searched slot
-    by slot, so the witness is the same as on the general path.  Mixed
-    orders test divisibility per leading column, over the later columns,
-    and compare each slot with its own expected count.  No step allocates
-    m^2 cells: a block holds about 64k cells, and the rest is O(m) per
-    leading column.
+    A block ends at a multiple of the block width and wherever the column
+    order changes, so its columns share one order ``s_j``: it is tested for
+    divisibility once, with ``n % (s_i * s_j)``, and passes by the
+    least-count rule.  In a block from ``j0``, the level pair (l_i, l_j) of
+    pair (i, j) is slot ``s_i * (l_j + P[j] - P[j0]) + l_i``, where ``P[j]``
+    sums the orders of the columns before ``j`` in its width block (see
+    :func:`_block_layout`), so pair (i, j0 + k) owns the ``s_i * s_j``
+    slots from ``k * s_i * s_j`` on.  One copy scaled by ``s_i`` is kept
+    per distinct leading order.  The copy, the leading column and the codes
+    share the narrowest dtype that holds every code; the one negative step,
+    ``l_i - s_i * P[j0]``, is above ``-top``, so no step wraps.  No step
+    allocates m^2 cells: a block holds about 64k cells, and the rest is
+    O(m).
     """
     n, m = a.shape
     if n == 0 or m == 0:
@@ -427,7 +430,7 @@ def check_oa(a: LevelArray) -> Verdict:
         if n % s:
             return Verdict(False, "oa", f"{n} rows not divisible by {s} levels")
         counts = np.bincount(a.data[:, 0], minlength=s)
-        if counts.min() != counts.max():
+        if counts.min() != n // s:
             lvl = int(np.argmin(counts))
             return Verdict(
                 False,
@@ -438,57 +441,49 @@ def check_oa(a: LevelArray) -> Verdict:
         return Verdict(True, "oa")
     s = np.array([g.order for g in a.groups], dtype=np.int64)
     width = _block_width(n)
-    uniform = s.min() == s.max()
-    each = n // int(s[0]) ** 2  # a uniform array's count in every slot
-    factor = 0
+    runs = None
+    if s.min() != s.max():
+        runs = [m] * m
+        for j in range(m - 2, -1, -1):
+            runs[j] = runs[j + 1] if s[j] == s[j + 1] else j + 1
+    scaled_by = {}  # leading order -> the layout scaled by it
     for i in range(m - 1):
         si = int(s[i])
-        if uniform:
-            stop = i + 1 if n % (si * si) else m
-        else:
-            undivided = np.flatnonzero(n % (si * s[i + 1:]))
-            stop = i + 1 + int(undivided[0]) if undivided.size else m
-        if stop > i + 1:
-            if si != factor:  # one copy per run of leading columns of equal order
-                scaled, before = _block_layout(a.data, s, width)
-                scaled *= si
-                factor = si
-            col = a.data[:, i].astype(scaled.dtype)
-        for j0, j1 in _spans(i + 1, stop, width):
-            codes = scaled[j0:j1] + (col - int(si * before[j0]))
-            if uniform:
-                counts = np.bincount(codes.ravel(), minlength=(j1 - j0) * si * si)
-                # the counts sum to each * len(counts): none is below each
-                # only if all equal it
-                if counts.min() == each:
-                    continue
-            else:
-                counts = np.bincount(codes.ravel(), minlength=si * int(s[j0:j1].sum()))
-            sizes = si * s[j0:j1]
-            bad = counts != np.repeat(n // sizes, sizes)
-            if bad.any():
-                k = int(np.searchsorted(np.cumsum(sizes), bad.argmax(), side="right"))
-                j, sj, first = j0 + k, int(s[j0 + k]), int(sizes[:k].sum())
-                want = n // (si * sj)
-                cell = counts[first:first + si * sj].reshape(sj, si).T.ravel()
-                code = int(np.argmax(cell != want))
+        col = None
+        for j0, j1 in _spans(i + 1, m, width, runs):
+            sj = int(s[j0])
+            size = si * sj
+            if n % size:
                 return Verdict(
                     False,
                     "oa",
-                    "unbalanced level pair",
-                    {
-                        "columns": (i, j),
-                        "levels": (a.groups[i].text_at(code // sj), a.groups[j].text_at(code % sj)),
-                        "count": int(cell[code]),
-                        "expected": want,
-                    },
+                    f"{n} rows not divisible by {si}*{sj} level combinations",
+                    {"columns": (i, j0)},
                 )
-        if stop < m:
+            if col is None:
+                if si not in scaled_by:
+                    scaled_by[si], before = _block_layout(a.data, s, width)
+                    scaled_by[si] *= si
+                scaled = scaled_by[si]
+                col = a.data[:, i].astype(scaled.dtype)
+            codes = scaled[j0:j1] + (col - int(si * before[j0]))
+            counts = np.bincount(codes.ravel(), minlength=(j1 - j0) * size)
+            want = n // size
+            if counts.min() == want:
+                continue
+            k = int(np.argmax(counts != want)) // size
+            cell = counts[k * size:(k + 1) * size].reshape(sj, si).T.ravel()
+            code = int(np.argmax(cell != want))
             return Verdict(
                 False,
                 "oa",
-                f"{n} rows not divisible by {si}*{int(s[stop])} level combinations",
-                {"columns": (i, stop)},
+                "unbalanced level pair",
+                {
+                    "columns": (i, j0 + k),
+                    "levels": (a.groups[i].text_at(code // sj), a.groups[j0 + k].text_at(code % sj)),
+                    "count": int(cell[code]),
+                    "expected": want,
+                },
             )
     return Verdict(True, "oa")
 
@@ -533,6 +528,8 @@ def _dm_pairs(data: np.ndarray, diff: np.ndarray, order: int, want: int):
             counts = [0] * order
             for row, y in zip(lead, cols[j]):
                 counts[row[y]] += 1
+            # all counts equal want exactly when the least does (they sum to
+            # b); ``list.count`` costs about a sixth of ``min`` here
             if counts.count(want) != order:
                 for e, c in enumerate(counts):
                     if c != want:
@@ -558,9 +555,8 @@ def _dm_blocks(data: np.ndarray, diff: np.ndarray, order: int, want: int):
             diffs = diff[cols[j0:j1] + lead]
             diffs += slots[: j1 - j0]
             counts = np.bincount(diffs.ravel(), minlength=(j1 - j0) * order)
-            bad = counts != want
-            if np.count_nonzero(bad):
-                first = int(bad.argmax())
+            if counts.min() != want:
+                first = int(np.argmax(counts != want))
                 k, e = divmod(first, order)
                 return i, j0 + k, e, int(counts[first])
     return None
@@ -585,7 +581,9 @@ def check_dm(d: LevelArray) -> Verdict:
     ``_PAIRWISE_ORDER`` (16) elements is counted pair by pair in plain
     Python (:func:`_dm_pairs`), stopping at the first unbalanced pair; every
     other array a block of later columns at a time in numpy, as in
-    :func:`check_oa` (:func:`_dm_blocks`).
+    :func:`check_oa` (:func:`_dm_blocks`).  Both pass a pair by the
+    least-count rule, as :func:`check_oa` does: its ``order`` counts sum to
+    ``b``.
     """
     b, m = d.data.shape
     if b == 0 or m == 0:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nestfill import arrays
-from nestfill.algebra import GaloisGroup, ProductGroup, ResidueGroup, field_make
+from nestfill.algebra import GaloisGroup, ProductGroup, ResidueGroup, field_make, truncation
 from nestfill.arrays import (
     LevelArray,
     NestedPair,
@@ -26,6 +26,7 @@ from nestfill.arrays import (
     check_dm,
     check_nested,
     check_oa,
+    collapse,
     kronecker_add,
     subcols,
 )
@@ -165,6 +166,14 @@ def _passing_dms():
     ]
 
 
+def _alternating(a: LevelArray, targets) -> LevelArray:
+    """``a`` over one Galois field, its columns truncated to each field of
+    ``targets`` in turn: no two neighbouring columns share an order."""
+    f = a.groups[0].field
+    cuts = [truncation(f, t) for t in targets]
+    return collapse(a, [cuts[j % len(cuts)] for j in range(a.n_cols)])
+
+
 def _passing_oas():
     gf3, gf4 = field_make(3, 1), field_make(2, 2)
     rh4 = rao_hamming_oa(gf4, 2)
@@ -173,6 +182,8 @@ def _passing_oas():
         rao_hamming_oa(gf3, 3),
         kronecker_add(rh4, mult_table(gf4)),
         full_factorial((ResidueGroup(6), ResidueGroup(2), GaloisGroup(gf3))),
+        # 256 x 17 over GF(4) and GF(8) in turn
+        _alternating(rao_hamming_oa(field_make(2, 4), 2), [gf4, field_make(2, 3)]),
     ]
 
 
@@ -185,8 +196,7 @@ def test_planted_defects_match_reference(data):
     """Known OAs and DMs with one swapped pair or changed cell at a random
     position, counted at several block widths.  Some swaps are placed so
     that the only defect lies in pair (i, j) with i > 0, which at the
-    narrow widths puts it in a later block of a later leading column, and
-    on arrays of one order in the uniform path's compare."""
+    narrow widths puts it in a later block of a later leading column."""
     a = data.draw(st.sampled_from(PASSING))
     m = a.n_cols
     if m >= 3 and data.draw(st.booleans()):
@@ -200,6 +210,27 @@ def test_planted_defects_match_reference(data):
     else:
         planted = LevelArray(a.groups, _plant(a.data, a.groups, data.draw))
     assert_same(planted, WIDTHS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_spans_cover_the_range_and_cut_at_widths_and_order_changes(data):
+    """``_spans`` covers ``start..stop`` exactly, in order, with no block
+    crossing a multiple of ``width`` and, given the runs of equal orders, no
+    block holding two orders."""
+    orders = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=40))
+    m = len(orders)
+    start = data.draw(st.integers(0, m))
+    stop = data.draw(st.integers(start, m))
+    width = data.draw(st.integers(1, 20))
+    runs = [next((k for k in range(j + 1, m) if orders[k] != orders[j]), m) for j in range(m)]
+    for given_runs in (None, runs):
+        spans = list(arrays._spans(start, stop, width, given_runs))
+        assert [j for j0, j1 in spans for j in range(j0, j1)] == list(range(start, stop))
+        for j0, j1 in spans:
+            assert j0 < j1 and j0 // width == (j1 - 1) // width
+            if given_runs is not None:
+                assert len(set(orders[j0:j1])) == 1
 
 
 def test_passing_objects_match_reference():
