@@ -47,7 +47,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -295,13 +294,13 @@ class LevelArray(_Value):
         return grid.tolist()
 
     def uniform_group(self) -> Group:
-        """The single shared alphabet, or raise if columns differ."""
-        g = self.groups[0]
-        if self.groups.count(g) != len(self.groups):
+        """The single shared alphabet, or raise if there are no columns or
+        they differ."""
+        if not self.groups or self.groups.count(self.groups[0]) != len(self.groups):
             raise ValueError(
                 "columns do not share a single alphabet; this operation needs one"
             )
-        return g
+        return self.groups[0]
 
     def label_texts(self) -> list[str] | None:
         if self.row_labels is None:
@@ -488,14 +487,6 @@ def check_oa(a: LevelArray) -> Verdict:
     return Verdict(True, "oa")
 
 
-@lru_cache(maxsize=None)
-def _slot_offsets(width: int, order: int) -> np.ndarray:
-    """Column ``k`` of a block counts its differences from slot ``k * order``."""
-    out = np.arange(0, width * order, order, dtype=INDEX_DTYPE)[:, None]
-    out.setflags(write=False)
-    return out
-
-
 #: ``check_dm`` counts an array of at most ``_PAIRWISE_CELLS`` cells over an
 #: alphabet of at most ``_PAIRWISE_ORDER`` elements pair by pair in Python
 #: (:func:`_dm_pairs`), and anything larger in numpy blocks
@@ -548,7 +539,8 @@ def _dm_blocks(data: np.ndarray, diff: np.ndarray, order: int, want: int):
     # intp: l_i * order + l_j indexes diff, passes 2**31 above order 46340,
     # and numpy would convert narrower indices on every gather
     cols = np.array(data.T, dtype=np.intp, order="C")
-    slots = _slot_offsets(min(width, m), order)
+    # column k of a block counts its differences from slot k * order
+    slots = np.arange(0, min(width, m) * order, order, dtype=INDEX_DTYPE)[:, None]
     for i in range(m - 1):
         lead = cols[i] * order
         for j0, j1 in _spans(i + 1, m, width):
@@ -756,6 +748,8 @@ def subcols(a: LevelArray, cols: Sequence[int]) -> LevelArray:
 
 def hstack(arrays: Sequence[LevelArray]) -> LevelArray:
     """Juxtapose arrays with equal row counts; labels are dropped."""
+    if not arrays:
+        raise ValueError("hstack needs at least one array")
     n = arrays[0].n_rows
     if any(a.n_rows != n for a in arrays):
         raise ValueError("row counts differ")

@@ -20,6 +20,7 @@ from typing import Callable
 from .algebra import GaloisGroup, Group, ProductGroup, ResidueGroup, component, field_make, modulus, residue
 from .arrays import FormatError, LevelArray, NestedPair, _Owned, collapse, require, subcols, subrows
 from .constructions import full_factorial
+from .mixed import _require_paired
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,7 @@ def _ex13_d() -> CatalogEntry:
     g3, g4 = _gf(3, 1), _gf(2, 2)
     paired = ProductGroup((g4, g3))
     arr = _read_grid((paired, paired, g4, g4, g3), "ex13_d.txt")
-    require(subcols(arr, (0, 1)), "dm", _failed("ex13_d (paired block)"))
-    require(subcols(arr, (2, 3)), "dm", _failed("ex13_d (4-level block)"))
+    _require_paired(arr, 2, 2, _failed("ex13_d"))
     return CatalogEntry("ex13_d", arr, "Qian, Ai and Wu (2009), Example 13 mixed matrix")
 
 

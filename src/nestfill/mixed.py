@@ -8,8 +8,11 @@ blocks over different alphabets:
 * :func:`ww_from_ndms` crosses a plain mixed orthogonal array with one
   nested difference matrix per block.
 * :func:`mixed_dm_lemma7` builds a mixed difference matrix with paired-level
-  columns out of two ordinary difference matrices, and
+  columns out of two ordinary difference matrices (Lemma 7), and
   :func:`noa_theorem9` turns it into a mixed nested orthogonal array.
+
+Lemma 7's rule is one gate, ``_require_paired``, for ``mixed_dm_lemma7``'s
+output and the catalog's printed Example 13 matrix alike.
 
 The crossing is ``constructions._crossed``, the one Kronecker core: parent
 row ``i * b + r`` combines row ``i`` of every orthogonal-array block with
@@ -32,6 +35,7 @@ from .algebra import (
     ProductGroup,
     ResidueGroup,
     _grid,
+    _integer,
     component,
     identity_projection,
     prime_power,
@@ -42,7 +46,6 @@ from .arrays import (
     LevelArray,
     NestedPair,
     _Owned,
-    hstack,
     require,
     subcols,
     subrows,
@@ -57,15 +60,17 @@ __all__ = [
 ]
 
 
-def _check_distinct_primes(orders: Sequence[int]) -> None:
-    """Distinct-prime requirement across blocks.
-
-    Only blocks whose level count is a prime power carry a prime; alphabets
-    like Z_6 fall outside the hypothesis and are left to the verification
-    gate.
-    """
+def _validate_blocks(parent: LevelArray, blocks, kind: str, what: str) -> list:
+    """``blocks`` as ``(column tuple, block)`` pairs, once they partition the
+    columns of ``parent`` in order, their alphabets' primes are distinct (Z_6
+    and the like carry none and are left to the gates), and every block
+    passes as ``kind``."""
+    blocks = [(tuple(cols), block) for cols, block in blocks]
+    cells = [c for cols, _ in blocks for c in cols]
+    if cells != list(range(parent.n_cols)) or not all(cols for cols, _ in blocks):
+        raise ValueError("blocks must partition the parent columns in order without overlap")
     seen: dict[int, int] = {}
-    for order in orders:
+    for order in (parent.groups[cols[0]].order for cols, _ in blocks):
         pp = prime_power(order)
         if pp is None:
             continue
@@ -75,11 +80,9 @@ def _check_distinct_primes(orders: Sequence[int]) -> None:
                 f"blocks with levels {seen[p]} and {order} share the prime {p}"
             )
         seen[p] = order
-
-
-def _validate_blocks(parent: LevelArray, blocks) -> None:
-    if [c for cols, _ in blocks for c in cols] != list(range(parent.n_cols)):
-        raise ValueError("blocks must partition the parent columns in order without overlap")
+    for _, block in blocks:
+        require(block, kind, what)
+    return blocks
 
 
 def ww_from_noas(
@@ -96,11 +99,7 @@ def ww_from_noas(
     column is appended (its levels survive uncollapsed in the child).
     """
     require(noa, "noa", "ww_from_noas: input nested array")
-    blocks = [(tuple(cols), dm) for cols, dm in blocks]
-    _validate_blocks(noa.parent, blocks)
-    _check_distinct_primes([noa.parent.groups[cols[0]].order for cols, _ in blocks])
-    for _, dm in blocks:
-        require(dm, "dm", "ww_from_noas: block difference matrix")
+    blocks = _validate_blocks(noa.parent, blocks, "dm", "ww_from_noas: block difference matrix")
     b = blocks[0][1].n_rows
     crossed = []
     for cols, dm in blocks:
@@ -143,11 +142,7 @@ def ww_from_ndms(
     child; that needs b2 to divide b1.
     """
     require(a, "oa", "ww_from_ndms: input array")
-    blocks = [(tuple(cols), ndm) for cols, ndm in blocks]
-    _validate_blocks(a, blocks)
-    _check_distinct_primes([a.groups[cols[0]].order for cols, _ in blocks])
-    for _, ndm in blocks:
-        require(ndm, "ndm", "ww_from_ndms: input nested pair")
+    blocks = _validate_blocks(a, blocks, "ndm", "ww_from_ndms: input nested pair")
     b1 = blocks[0][1].parent.n_rows
     b2 = blocks[0][1].child_size
     crossed = []
@@ -166,6 +161,21 @@ def ww_from_ndms(
     return _crossed(crossed, range(a.n_rows), range(b2), "ww_from_ndms")
 
 
+def _require_paired(d: LevelArray, k0: int, k1: int, what: str) -> None:
+    """Gate ``d`` as Lemma 7's paired-level difference matrix: ``k0`` columns
+    over G1 x G2, ``k1`` over G1, the rest over G2.  The paired block is one
+    difference matrix, and each component of it beside the trailing columns
+    over its alphabet another; a trailing block alone is a column subset of
+    the latter, so it is not counted on its own."""
+    paired = d.groups[0]
+    require(subcols(d, range(k0)), "dm", f"{what}: paired block")
+    for j, (g, lo, hi) in enumerate(zip(paired.components, (k0, k0 + k1), (k0 + k1, d.n_cols))):
+        cells = component(paired, j).np_table()[d.data[:, :k0]]
+        data = np.hstack([cells, d.data[:, lo:hi]], dtype=INDEX_DTYPE)
+        part = LevelArray((g,) * (k0 + hi - lo), _Owned(data))
+        require(part, "dm", f"{what}: component {j + 1} with trailing block")
+
+
 def mixed_dm_lemma7(d1: LevelArray, d2: LevelArray, c0: int) -> LevelArray:
     """Mixed difference matrix with paired-level columns.
 
@@ -173,50 +183,41 @@ def mixed_dm_lemma7(d1: LevelArray, d2: LevelArray, c0: int) -> LevelArray:
     ``c0`` columns pair up the leading columns of the inputs entrywise over
     the product alphabet; the remaining columns replicate the trailing
     columns of the first input (constant over j) and of the second (cycling
-    over j).  The paired block, each trailing block, and each
-    component-plus-trailing combination are verified as difference matrices.
+    over j).  The output passes one gate, Lemma 7's: the paired block, and
+    each component of it beside its trailing columns, are difference
+    matrices.  Both inputs may share one alphabet, but then
+    :func:`noa_theorem9` cannot split the trailing columns.
     """
     require(d1, "dm", "mixed_dm_lemma7: input d1")
     require(d2, "dm", "mixed_dm_lemma7: input d2")
+    c0 = _integer(c0, "c0")
     c1, c2 = d1.n_cols, d2.n_cols
     if not 1 <= c0 <= min(c1, c2):
         raise ValueError(f"c0 must lie in 1..{min(c1, c2)}, got {c0}")
     g1, g2 = d1.uniform_group(), d2.uniform_group()
-    paired = ProductGroup((g1, g2))
     b1, b2 = d1.n_rows, d2.n_rows
     i_idx, j_idx = _grid((b1, b2)).T
     pair_block = np.ravel_multi_index((d1.data[i_idx, :c0], d2.data[j_idx, :c0]), (g1.order, g2.order))
     data = np.hstack([pair_block, d1.data[i_idx, c0:], d2.data[j_idx, c0:]], dtype=INDEX_DTYPE)
-    groups = (paired,) * c0 + (g1,) * (c1 - c0) + (g2,) * (c2 - c0)
+    groups = (ProductGroup((g1, g2)),) * c0 + (g1,) * (c1 - c0) + (g2,) * (c2 - c0)
     out = LevelArray(groups, _Owned(data))
-    require(subcols(out, range(c0)), "dm", "mixed_dm_lemma7: paired block")
-    for j, (g, lo, hi) in enumerate(
-        [(g1, c0, c1), (g2, c1, c1 + c2 - c0)], start=1
-    ):
-        trailing = list(range(lo, hi))
-        if trailing:
-            require(subcols(out, trailing), "dm", f"mixed_dm_lemma7: trailing block {j}")
-        sigma = component(paired, j - 1)
-        sigma_cols = LevelArray((g,) * c0, _Owned(sigma.np_table()[out.data[:, :c0]]))
-        combined = hstack([sigma_cols, subcols(out, trailing)]) if trailing else sigma_cols
-        require(combined, "dm", f"mixed_dm_lemma7: component {j} with trailing block")
+    _require_paired(out, c0, c1 - c0, "mixed_dm_lemma7")
     return out
 
 
 def _lemma7_structure(d: LevelArray) -> tuple[int, int, int, Group, Group]:
-    """Recover (k0, k1, k2, g1, g2) from a lemma7-shaped array."""
-    first = d.groups[0]
+    """Recover (k0, k1, k2, g1, g2) from a lemma7-shaped array; with one
+    alphabet for both components only an array with no trailing columns."""
+    first = d.groups[0] if d.n_cols else None
     if not isinstance(first, ProductGroup) or len(first.components) != 2:
         raise ValueError("expected leading paired-level columns")
     g1, g2 = first.components
-    k0 = 0
-    while k0 < d.n_cols and d.groups[k0] == first:
-        k0 += 1
-    k1 = 0
-    while k0 + k1 < d.n_cols and d.groups[k0 + k1] == g1:
-        k1 += 1
+    k0 = d.groups.count(first)
+    if g1 == g2 and k0 < d.n_cols:
+        raise ValueError(f"both components are {g1.describe()}: the trailing columns cannot be split")
+    k1 = d.groups.count(g1)
     k2 = d.n_cols - k0 - k1
-    if any(d.groups[k0 + k1 + t] != g2 for t in range(k2)):
+    if d.groups != (first,) * k0 + (g1,) * k1 + (g2,) * k2:
         raise ValueError("columns do not follow the paired/first/second layout")
     return k0, k1, k2, g1, g2
 

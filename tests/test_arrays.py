@@ -48,6 +48,7 @@ from nestfill.constructions import (
     trivial_oa,
     zero_sum_noa,
 )
+from nestfill.mixed import mixed_dm_lemma7, noa_theorem9
 
 
 Z2 = ResidueGroup(2)
@@ -107,6 +108,27 @@ def test_two_by_two_dm(gf2):
 
 def test_single_column_dm_passes(gf4):
     assert check_dm(subcols(mult_table(gf4), [1]))
+
+
+_NO_COLUMNS = LevelArray((), np.zeros((4, 0), dtype=np.int32))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: _NO_COLUMNS.uniform_group(),
+        lambda g: hstack([]),
+        lambda g: kronecker_add(_NO_COLUMNS, mult_table(g.field)),
+        lambda g: cast_group(_NO_COLUMNS, g),
+        lambda g: mixed_dm_lemma7(mult_table(g.field), mult_table(field_make(3, 1)), True),
+        lambda g: mixed_dm_lemma7(mult_table(g.field), mult_table(field_make(3, 1)), 2.0),
+        lambda g: noa_theorem9(_NO_COLUMNS, identity_projection(g), identity_projection(g)),
+    ],
+    ids=["uniform_group", "hstack", "kronecker_add", "cast_group", "lemma7_c0_bool", "lemma7_c0_float", "thm9"],
+)
+def test_usage_errors_are_value_errors(gf4, call):
+    with pytest.raises(ValueError):
+        call(GaloisGroup(gf4))
 
 
 def test_check_dm_mixed_alphabets_is_an_error(gf4):

@@ -99,3 +99,25 @@ def test_corrupted_data_fails_fast(monkeypatch):
     monkeypatch.undo()
     cat.catalog_get.cache_clear()
     assert cat.catalog_get("dulmage_12_6_12").payload is not None
+
+
+@pytest.mark.parametrize(
+    "col,new,part",
+    [(1, "01", "paired block"), (2, "1", "component 1 with trailing block"), (4, "1", "component 2 with trailing block")],
+)
+def test_ex13_d_one_cell_slip_fails_naming_the_part(monkeypatch, col, new, part):
+    # a change to row 1 of the printed Example 13 matrix, in each of its parts
+    import nestfill.catalog as cat
+
+    real = cat._data_text
+    lines = real("ex13_d.txt").splitlines()
+    cells = lines[0].split()
+    cells[col] = new
+    text = "\n".join([" ".join(cells)] + lines[1:]) + "\n"
+    monkeypatch.setattr(cat, "_data_text", lambda name: text if name == "ex13_d.txt" else real(name))
+    cat.catalog_get.cache_clear()
+    with pytest.raises(ValueError, match=f"'ex13_d' failed validation: {part}"):
+        cat.catalog_get("ex13_d")
+    monkeypatch.undo()
+    cat.catalog_get.cache_clear()
+    assert cat.catalog_get("ex13_d").payload is not None

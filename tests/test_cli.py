@@ -197,6 +197,15 @@ def test_mixed_construct_verbs(tmp_path):
     assert run("verify", "noa", str(tmp_path / "a")) == 0
 
 
+def test_thm9_refuses_one_alphabet_for_both_components(tmp_path, capsys):
+    # with trailing columns over one alphabet, the layout cannot be split
+    tables = ("d1=multtable:s=4", "d2=multtable:s=4")
+    assert run("construct", "thm9", *tables, "--out", str(tmp_path / "a")) == 2
+    assert "GF(4)" in capsys.readouterr().err
+    assert run("construct", "lemma7", *tables, "--out", str(tmp_path / "b")) == 0
+    assert run("construct", "thm9", *tables, "c0=4", "--out", str(tmp_path / "c")) == 0
+
+
 def test_thm7_plan_file(tmp_path):
     plan = {
         "parent": "ex12_noa",

@@ -15,6 +15,7 @@ from nestfill.algebra import (
 from nestfill.arrays import (
     LevelArray,
     NestedPair,
+    VerificationError,
     check_dm,
     check_nested,
     hstack,
@@ -22,7 +23,7 @@ from nestfill.arrays import (
 )
 from nestfill.catalog import catalog_derive, catalog_get
 from nestfill.constructions import full_factorial, mult_table, trivial_oa
-from nestfill.mixed import mixed_dm_lemma7, noa_theorem9, ww_from_ndms, ww_from_noas
+from nestfill.mixed import _require_paired, mixed_dm_lemma7, noa_theorem9, ww_from_ndms, ww_from_noas
 
 
 def _ex12_inputs():
@@ -94,6 +95,8 @@ def test_blocks_must_cover_columns():
     noa, blocks = _ex12_inputs()
     with pytest.raises(ValueError, match="partition"):
         ww_from_noas(noa, [blocks[0]])
+    with pytest.raises(ValueError, match="partition"):  # an empty block is no part
+        ww_from_noas(noa, blocks + [((), blocks[1][1])])
 
 
 def test_row_count_mismatch_rejected(gf4):
@@ -226,6 +229,19 @@ def test_paired_dm_sub_properties(s1, s2, c0):
         assert check_dm(combined)
 
 
+@pytest.mark.parametrize(
+    "col,part",
+    [(1, "paired block"), (2, "component 1 with trailing block"), (4, "component 2 with trailing block")],
+)
+def test_paired_gate_names_the_part_a_one_cell_change_breaks(gf4, col, part):
+    d = mixed_dm_lemma7(mult_table(gf4), mult_table(field_make(3, 1)), 2)
+    _require_paired(d, 2, 2, "lemma7")
+    data = d.data.copy()
+    data[0, col] = (data[0, col] + 1) % d.groups[col].order
+    with pytest.raises(VerificationError, match=f"lemma7: {part}"):
+        _require_paired(LevelArray(d.groups, data), 2, 2, "lemma7")
+
+
 def test_paired_dm_row_pairing(gf4):
     # row (i-1)*b2 + j pairs row i of the first input with row j of the second
     f3 = field_make(3, 1)
@@ -286,6 +302,13 @@ def test_paired_noa_rejects_wrong_projection_source(gf8):
         noa_theorem9(
             d, truncation(gf8, gf4), identity_projection(GaloisGroup(gf3))
         )
+
+
+def test_paired_noa_refuses_one_alphabet_with_trailing_columns(gf4):
+    d = mixed_dm_lemma7(mult_table(gf4), mult_table(gf4), 2)
+    delta = identity_projection(GaloisGroup(gf4))
+    with pytest.raises(ValueError, match=r"GF\(4\)"):
+        noa_theorem9(d, delta, delta)
 
 
 def test_paired_noa_rejects_child_rows_outside_d(gf4):
