@@ -109,9 +109,10 @@ MAX_ORDER = int(np.iinfo(INDEX_DTYPE).max)
 MAX_FIELD_ORDER = 256
 
 
-def _integer(v, what: str) -> int:
-    """``v`` as a plain int: a numpy integer becomes the int it equals, and
-    a float, a bool or anything else is refused.  Equal alphabets share
+def _integer(v, what: str, least: int | None = None) -> int:
+    """``v`` as a plain int, the one intake for integer arguments: a numpy
+    integer becomes the int it equals; a float, a bool, anything else and a
+    value below ``least`` are refused, naming ``what``.  Equal alphabets share
     cached tables, factors and projections, so an alphabet must not equal
     another while holding a number of another kind (Z_6.0 equals Z_6, and
     JSON cannot write an ``np.int64``)."""
@@ -119,6 +120,8 @@ def _integer(v, what: str) -> int:
         v = int(v)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ValueError(f"{what} must be an integer, got {v!r}")
+    if least is not None and v < least:
+        raise ValueError(f"{what} must be >= {least}, got {v}")
     return v
 
 
@@ -309,9 +312,7 @@ class Field:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _integer(self.p, "characteristic"))
-        object.__setattr__(self, "u", _integer(self.u, "extension degree"))
-        if self.u < 1:
-            raise ValueError(f"extension degree must be >= 1, got {self.u}")
+        object.__setattr__(self, "u", _integer(self.u, "extension degree", 1))
         # bound the order before p is factored or raised to a large power u
         if self.p >= 2 and (self.u >= MAX_FIELD_ORDER.bit_length() or self.p**self.u > MAX_FIELD_ORDER):
             raise ValueError(f"field order {self.p}^{self.u} exceeds the supported maximum {MAX_FIELD_ORDER}")
@@ -419,14 +420,15 @@ def field_make(
     When ``irreducible`` is omitted the polynomial is the default of
     ``DEFAULT_IRREDUCIBLES``; a (p, u) without one raises ``ValueError``.
     The polynomial may be given as a coefficient sequence (constant term
-    first) or as text such as ``"x^3+x+1"``.
+    first) or as text such as ``"x^3+x+1"``; text of degree above ``u`` is
+    refused before its coefficients are listed.
     """
     if irreducible is None:
         if (p, u) not in DEFAULT_IRREDUCIBLES:
             raise ValueError(f"no default defining polynomial for GF({p}^{u})")
         irreducible = DEFAULT_IRREDUCIBLES[(p, u)]
     if isinstance(irreducible, str):
-        irreducible = poly_parse(irreducible, p)
+        irreducible = poly_parse(irreducible, p, max_degree=_integer(u, "extension degree"))
     return Field(p, u, irreducible)
 
 
@@ -525,9 +527,7 @@ class ResidueGroup(Group):
     modulus: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "modulus", _integer(self.modulus, "modulus"))
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
+        object.__setattr__(self, "modulus", _integer(self.modulus, "modulus", 1))
         if self.modulus > MAX_ORDER:
             raise ValueError(f"modulus {self.modulus} exceeds the largest alphabet order {MAX_ORDER}")
 
@@ -884,6 +884,7 @@ def _validated(kind: str, source: Group, target: Group, table: Sequence[int], de
 
 
 _KIND_NAMES = {
+    Group: "an alphabet, such as GaloisGroup(f) for a Field f",
     Field: "a Field",
     GaloisGroup: "a Galois field alphabet",
     ResidueGroup: "a residue ring alphabet",
@@ -932,14 +933,12 @@ def modulus(f1: Field, f2: Field) -> Projection:
 
 def residue(s: int, a: int) -> Projection:
     """The map u -> u mod a from Z_s onto Z_a."""
-    return _residue(_integer(s, "modulus"), _integer(a, "residue modulus"))
+    return _residue(_integer(s, "modulus"), _integer(a, "residue modulus", 1))
 
 
 @lru_cache(maxsize=None)
 def _residue(s: int, a: int) -> Projection:
     src = ResidueGroup(s)
-    if a < 1:
-        raise ValueError("residue modulus must be positive")
     if src.modulus % a:
         raise ValueError(
             f"residue projection Z_{src.modulus} -> Z_{a} needs {a} to divide {src.modulus}"

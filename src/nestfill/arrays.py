@@ -56,6 +56,7 @@ from .algebra import (
     INDEX_DTYPE,
     Group,
     Projection,
+    _of_kind,
     add_table,
     group_from_dict,
     group_to_dict,
@@ -150,7 +151,7 @@ class _Owned:
 
 def _frozen(value, dtype, name: str, admit=None) -> np.ndarray:
     """A read-only matrix of ``dtype`` holding ``value``: an :class:`_Owned`
-    buffer as it is (one of another dtype is a ``TypeError``), anything else
+    matrix as it is (one of another dtype is a ``TypeError``), anything else
     as a copy.  For an integer ``dtype``, non-integral values are refused,
     naming ``name``; then ``admit(name, data)``, if given (and the buffer is
     not ``admitted``), sees the integers in their own dtype (or ``dtype``, if
@@ -161,8 +162,6 @@ def _frozen(value, dtype, name: str, admit=None) -> np.ndarray:
         out = value.buf
         if out.dtype != dtype:
             raise TypeError(f"{name}: an owned buffer must be {dtype}, got {out.dtype}")
-        if out.ndim < 2:
-            out = np.atleast_2d(out)
         if admit is not None and dtype.kind == "i" and not value.admitted:
             admit(name, out)
     else:
@@ -240,6 +239,8 @@ class LevelArray(_Value):
         object.__setattr__(self, "groups", tuple(self.groups))
         super().__post_init__()
         object.__setattr__(self, "_passed", set())
+        if self.label_group is not None:
+            _of_kind(self.label_group, Group, "label_group")
         if self.row_labels is not None:
             if self.label_group is None:
                 raise ValueError("row_labels given without a label_group")
@@ -253,6 +254,9 @@ class LevelArray(_Value):
         of several bad entries, the one in the lowest column, then the lowest
         row, is named."""
         groups = self.groups
+        for j, g in enumerate(groups):
+            if not isinstance(g, Group):  # formats no name per column
+                _of_kind(g, Group, f"column {j}")
         if data.ndim != 2 or data.shape[1] != len(groups):
             raise ValueError(
                 f"data shape {data.shape} does not match {len(groups)} column alphabets"

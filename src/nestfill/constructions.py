@@ -39,8 +39,9 @@ from .algebra import (
     GfElem,
     Group,
     Projection,
-    ResidueGroup,
     _grid,
+    _integer,
+    _of_kind,
     _to_index,
     _vectors,
     add_table,
@@ -99,7 +100,8 @@ def label_sequence(f: Field, m: int) -> list[GfElem]:
     """All elements of ``f`` of polynomial degree at most ``m``, in
     lexicographic order: the sequence r_m, with p^(m+1) entries.  ``m = -1``
     gives just the zero element."""
-    return [f.element(int(i)) for i in _labels(f, m)]
+    _of_kind(f, Field, "label_sequence")
+    return [f.element(int(i)) for i in _labels(f, _integer(m, "m"))]
 
 
 def _offsets_sum(f: Field, ks: Sequence[int]) -> int:
@@ -171,8 +173,7 @@ def ndm_theorem1(m: int) -> NestedPair:
     two-cluster arrangement; child rows are those labelled r_(m-2) and
     x^m + x^(m-1) + r_(m-2); the collapse is truncation onto GF(2^m).
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    m = _integer(m, "m", 2)
     return _clustered_ndm(field_make(2, m + 1), m, 4, [0, 3], 1, f"ndm_theorem1(m={m})")
 
 
@@ -197,8 +198,7 @@ def ndm_theorem2(m: int) -> NestedPair:
     Columns r_1 over GF(2^(m+2)), rows in the four-cluster arrangement;
     child rows carry labels r_(m-2) and x^(m+1) + x^m + x^(m-1) + r_(m-2).
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    m = _integer(m, "m", 2)
     return _clustered_ndm(field_make(2, m + 2), m, 8, [0, 7], 1, f"ndm_theorem2(m={m})")
 
 
@@ -216,8 +216,7 @@ def ndm_theorem3(m: int) -> NestedPair:
     x^m + x^(m-1) + r_(m-2), x^(m+1) + r_(m-2) and
     x^(m+1) + x^m + x^(m-1) + r_(m-2).
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    m = _integer(m, "m", 2)
     f = field_make(2, m + 2, THEOREM3_POLYS.get(m))
     return _clustered_ndm(f, m, 8, [0, 3, 4, 7], 2, f"ndm_theorem3(m={m})")
 
@@ -318,8 +317,8 @@ def rao_hamming_oa(f: Field, k: int) -> LevelArray:
     vectors (last nonzero coordinate equal to one), and each entry is the
     linear form ``sum c_i x_i``.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _of_kind(f, Field, "rao_hamming_oa")
+    k = _integer(k, "k", 2)
     s = f.order
     out = _linear_entries(f, _vectors(s, k), _canonical_directions(s, k))
     require(out, "oa", f"rao_hamming_oa(GF({s}), k={k})")
@@ -333,27 +332,20 @@ def qtw_noa(f1: Field, f2: Field, k: int) -> NestedPair:
     The parent is the linear array over GF(s1) restricted to direction
     vectors whose coordinates all have polynomial degree below u2; the child
     rows are those indexed by vectors with every coordinate of degree below
-    u2.  Requires matching characteristic and ``2 u2 <= u1 + 1``, which keeps
-    the child's products free of reduction so the modulus map acts
-    multiplicatively there.
+    u2.  Requires one characteristic, ``u2 < u1`` and ``2 u2 <= u1 + 1``; the
+    last keeps the child's products free of reduction so the modulus map
+    acts multiplicatively there.
     """
-    if f1.p != f2.p:
-        raise ValueError("fields must share one characteristic")
-    if f2.u >= f1.u:
-        raise ValueError("target field must be strictly smaller")
-    if 2 * f2.u > f1.u + 1:
-        raise ValueError(
-            f"family requires 2*u2 <= u1 + 1; got u1={f1.u}, u2={f2.u}"
-        )
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    proj = modulus(f1, f2)
+    if f2.u >= f1.u or 2 * f2.u > f1.u + 1:
+        raise ValueError(f"family requires u2 < u1 and 2*u2 <= u1 + 1; got u1={f1.u}, u2={f2.u}")
+    k = _integer(k, "k", 2)
     s1, s2 = f1.order, f2.order
     # coordinates < s2 are exactly the degree-<u2 elements of f1
     dirs = _canonical_directions(s2, k)
     rows = _vectors(s1, k)
     parent = _linear_entries(f1, rows, dirs)
     child_rows = tuple(np.flatnonzero((rows < s2).all(axis=1)))
-    proj = modulus(f1, f2)
     pair = NestedPair(parent, child_rows, (proj,) * len(dirs))
     require(pair, "noa", f"qtw_noa(GF({s1}), GF({s2}), k={k})")
     return pair
@@ -421,15 +413,12 @@ def zero_sum_noa(s1: int, s2: int) -> NestedPair:
     with both i and j below s2, and all three columns collapse by the
     residue map onto Z_s2.
     """
-    if s1 < 2:
-        raise ValueError(f"s1 must be >= 2, got {s1}")
-    if s2 < 1 or s1 % s2:
-        raise ValueError(f"s2 must divide s1; got s1={s1}, s2={s2}")
-    g = ResidueGroup(s1)
+    s1 = _integer(s1, "s1", 2)
+    proj = residue(s1, s2)
+    g = proj.source
     ij = _grid((s1, s1))
     parent = LevelArray((g,) * 3, _Owned(np.column_stack([ij, -ij.sum(axis=1, dtype=INDEX_DTYPE) % s1])))
     child_rows = tuple(np.flatnonzero((ij < s2).all(axis=1)))
-    proj = residue(s1, s2)
     pair = NestedPair(parent, child_rows, (proj,) * 3)
     require(pair, "noa", f"zero_sum_noa({s1}, {s2})")
     return pair
@@ -448,8 +437,7 @@ def validation_pair(
     ``shared_pair`` restricts the parent to those columns with the usual
     truncation-collapsed child.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    m = _integer(m, "m", 2)
     require(a, "oa", "validation_pair: input array")
     group = a.uniform_group()
     if not isinstance(group, GaloisGroup) or (group.field.p, group.field.u) != (2, m + 1):
@@ -507,8 +495,10 @@ def search_nested_rows(
     stops at the first unbalanced pair, which for most candidates is the
     first pair.
     """
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
+    budget = _integer(budget, "budget", 1)
+    child_size = _integer(child_size, "child_size")
+    if seed is not None:
+        seed = _integer(seed, "seed", 0)
     require(d, "dm", "input is not a difference matrix")
     if projection.source != d.uniform_group():
         raise ValueError("projection source does not match the array alphabet")

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import INDEX_DTYPE, ResidueGroup
+from .algebra import INDEX_DTYPE, ResidueGroup, _integer
 from .arrays import LevelArray, NestedPair, _frozen, _Owned, _Value, require
 
 __all__ = [
@@ -114,6 +114,8 @@ def oa_lhd(r: RelabeledArray, seed: int | None = None) -> np.ndarray:
     in an order drawn from the per-(column, level) stream of the seed.
     """
     n, m = r.labels.shape
+    if seed is not None:
+        seed = _integer(seed, "seed", 0)
     ranks = np.empty((n, m), dtype=np.int64)
     for j in range(m):
         offsets = np.arange(n)
@@ -187,6 +189,7 @@ def to_design(
     else:
         if seed is None:
             raise ValueError("jittered designs need a seed (or pass midpoint=True)")
+        seed = _integer(seed, "seed", 0)
         ss = np.random.SeedSequence(seed, spawn_key=(_JITTER_KEY,))
         u = 1.0 - np.random.default_rng(ss).random((n, m))  # in (0, 1]
     points = (ranks - u) / n

@@ -60,6 +60,13 @@ def test_reducible_polynomial_rejected_naming_factor():
         field_make(2, 5, "x^5+x+1")
 
 
+def test_defining_polynomial_text_is_bounded_by_the_degree():
+    """Text far above the extension degree is refused before its
+    coefficients are listed, instead of exhausting memory."""
+    with pytest.raises(ValueError, match="degree 99999999999, above the maximum 3"):
+        field_make(2, 3, "x^99999999999")
+
+
 def test_reducible_rejection_agrees_with_sympy():
     # independent oracle: sympy's factorization over GF(2)
     sympy = pytest.importorskip("sympy")

@@ -14,6 +14,7 @@ from conftest import randomize_array
 import nestfill
 from nestfill import arrays, constructions
 from nestfill.algebra import (
+    Field,
     GaloisGroup,
     ResidueGroup,
     _vectors,
@@ -36,6 +37,7 @@ from nestfill.arrays import (
     subrows,
 )
 from nestfill.catalog import catalog_get
+from nestfill.nsfd import nested_design, oa_lhd, relabel, to_design
 from nestfill.constructions import (
     _crossed,
     full_factorial,
@@ -706,3 +708,73 @@ def test_constructions_are_deterministic(gf8, gf4):
     assert a.child_rows == b.child_rows
     t1, t2 = ndm_theorem3(3), ndm_theorem3(3)
     assert np.array_equal(t1.parent.data, t2.parent.data)
+
+
+# ---------------------------------------------------------------------------
+# argument intake
+# ---------------------------------------------------------------------------
+
+
+def _search(**kw):
+    gf4 = field_make(2, 2)
+    args = dict(d=mult_table(gf4), child_size=2, projection=identity_projection(GaloisGroup(gf4)), budget=1)
+    return search_nested_rows(**{**args, **kw})
+
+
+#: (entry point, parameter, the call with that parameter set to v, least value)
+INTEGER_ARGUMENTS = [
+    ("Field", "extension degree", lambda v: Field(2, v, (1, 1)), 1),
+    ("ResidueGroup", "modulus", lambda v: ResidueGroup(v), 1),
+    ("residue", "residue modulus", lambda v: residue(6, v), 1),
+    ("ndm_theorem1", "m", ndm_theorem1, 2),
+    ("ndm_theorem2", "m", ndm_theorem2, 2),
+    ("ndm_theorem3", "m", ndm_theorem3, 2),
+    ("validation_pair", "m", lambda v: validation_pair(v, trivial_oa(GaloisGroup(field_make(2, 3)))), 2),
+    ("rao_hamming_oa", "k", lambda v: rao_hamming_oa(field_make(2, 1), v), 2),
+    ("qtw_noa", "k", lambda v: qtw_noa(field_make(2, 3), field_make(2, 2), v), 2),
+    ("zero_sum_noa", "s1", lambda v: zero_sum_noa(v, 1), 2),
+    ("label_sequence", "m", lambda v: label_sequence(field_make(2, 3), v), None),
+    ("search_nested_rows", "budget", lambda v: _search(budget=v), 1),
+    ("search_nested_rows", "child_size", lambda v: _search(child_size=v), None),
+    ("search_nested_rows", "seed", lambda v: _search(seed=v), 0),
+    ("oa_lhd", "seed", lambda v: oa_lhd(relabel(zero_sum_noa(4, 2)), v), 0),
+    ("to_design", "seed", lambda v: to_design(np.array([[1], [2]]), seed=v), 0),
+    ("nested_design", "seed", lambda v: nested_design(zero_sum_noa(4, 2), seed=v), 0),
+]
+
+
+def _bad_integers():
+    for entry, name, call, least in INTEGER_ARGUMENTS:
+        bad = [(2.0 if least is None else float(least), "an integer"), (True, "an integer")]
+        if least is not None:
+            bad.append((least - 1, f">= {least}"))
+        for v, rule in bad:
+            yield pytest.param(call, name, v, rule, id=f"{entry}-{name}-{v!r}")
+
+
+@pytest.mark.parametrize("call, name, value, rule", _bad_integers())
+def test_integer_arguments_refuse_floats_bools_and_small_values(call, name, value, rule):
+    """One intake for every integer argument: a float or a bool is not read
+    as the int it equals, and a value below the bound is refused, each with
+    a ValueError naming the argument.  Unchecked, ``2.0`` crashes inside
+    numpy and ``True`` is read as 1."""
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {value!r}$"):
+        call(value)
+
+
+def test_a_field_is_not_a_column_alphabet():
+    """A Field as a column or row-label alphabet is refused when the array
+    is made, naming its alphabet, ``GaloisGroup(f)``; unchecked, the array
+    passes ``check_oa`` and fails later in ``describe`` or ``save_bundle``."""
+    gf8 = field_make(2, 3)
+    g = GaloisGroup(gf8)
+    for make in [
+        lambda: trivial_oa(gf8),
+        lambda: LevelArray((g, gf8), np.zeros((8, 2), dtype=np.int32)),
+        lambda: LevelArray((g,), np.zeros((1, 1), dtype=np.int32), row_labels=(0,), label_group=gf8),
+    ]:
+        with pytest.raises(ValueError, match=r"needs an alphabet, such as GaloisGroup\(f\) for a Field f, not Field"):
+            make()
+    for make in [lambda: rao_hamming_oa(g, 2), lambda: label_sequence(g, 1)]:
+        with pytest.raises(ValueError, match=r"needs a Field, not GF\(8\)"):
+            make()
