@@ -420,15 +420,16 @@ def field_make(
     When ``irreducible`` is omitted the polynomial is the default of
     ``DEFAULT_IRREDUCIBLES``; a (p, u) without one raises ``ValueError``.
     The polynomial may be given as a coefficient sequence (constant term
-    first) or as text such as ``"x^3+x+1"``; text of degree above ``u`` is
-    refused before its coefficients are listed.
+    first) or as text such as ``"x^3+x+1"``, parsed once ``p`` and ``u`` are
+    read and refused above degree ``min(u, 9)`` before it is listed.
     """
     if irreducible is None:
         if (p, u) not in DEFAULT_IRREDUCIBLES:
             raise ValueError(f"no default defining polynomial for GF({p}^{u})")
         irreducible = DEFAULT_IRREDUCIBLES[(p, u)]
     if isinstance(irreducible, str):
-        irreducible = poly_parse(irreducible, p, max_degree=_integer(u, "extension degree"))
+        u_max = min(_integer(u, "extension degree", 1), MAX_FIELD_ORDER.bit_length())
+        irreducible = poly_parse(irreducible, _integer(p, "characteristic", 2), max_degree=u_max)
     return Field(p, u, irreducible)
 
 

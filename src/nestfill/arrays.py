@@ -12,15 +12,16 @@ every ordered level pair in every column pair, ``check_dm`` counts every
 group element in the difference of every column pair i < j (the differences
 of j and i are their negatives, so that ordering passes or fails with it).
 Both count the pairs of a leading column a block of later columns at a time,
-in one ``bincount`` over a column-major copy of the array, and no step of
-either allocates m^2 cells for m columns; ``check_dm`` counts a small array
-(at most 128 cells over at most 16 elements) pair by pair in plain Python
-instead.  Both judge counts by one rule, the least-count rule: the counts of
-a column pair sum to its rows, so when they all expect one whole number,
-none is below it only if all equal it, and a pair, or a block of pairs
-expecting one count, passes when its least count is the expected one.  Only
-a failing block is searched for the witness.  The checkers are pure: every
-call counts.
+in one ``bincount`` over a column-major copy of the array made once per call
+(``check_oa`` puts the leading level in the major digit of each slot), and
+no step of either allocates m^2 cells for m columns; ``check_dm`` counts a
+small array (at most 128 cells over at most 16 elements) pair by pair in
+plain Python instead.  Both judge counts by one rule, the least-count rule:
+the counts of a column pair sum to its rows, so when they all expect one
+whole number, none is below it only if all equal it, and a pair, or a block
+of pairs expecting one count, passes when its least count is the expected
+one.  Only a failing block is searched for the witness.  The checkers are
+pure: every call counts.
 
 :func:`require` is the one gate on them.  It raises
 :class:`VerificationError` on a failing verdict and records a passing kind
@@ -410,20 +411,20 @@ def check_oa(a: LevelArray) -> Verdict:
     (i, j) then combination order, is returned as the witness.
 
     The pairs of a leading column ``i`` are counted a block of later columns
-    at a time, with one ``bincount`` over a column-major copy of the array.
-    A block ends at a multiple of the block width and wherever the column
-    order changes, so its columns share one order ``s_j``: it is tested for
-    divisibility once, with ``n % (s_i * s_j)``, and passes by the
-    least-count rule.  In a block from ``j0``, the level pair (l_i, l_j) of
-    pair (i, j) is slot ``s_i * (l_j + P[j] - P[j0]) + l_i``, where ``P[j]``
-    sums the orders of the columns before ``j`` in its width block (see
-    :func:`_block_layout`), so pair (i, j0 + k) owns the ``s_i * s_j``
-    slots from ``k * s_i * s_j`` on.  One copy scaled by ``s_i`` is kept
-    per distinct leading order.  The copy, the leading column and the codes
-    share the narrowest dtype that holds every code; the one negative step,
-    ``l_i - s_i * P[j0]``, is above ``-top``, so no step wraps.  No step
-    allocates m^2 cells: a block holds about 64k cells, and the rest is
-    O(m).
+    at a time, with one ``bincount`` over a column-major copy of the array
+    made once per call (:func:`_block_layout`).  A block ends at a multiple
+    of the block width and wherever the column order changes, so its columns
+    share one order ``s_j``: it is tested for divisibility once, with
+    ``n % (s_i * s_j)``, and passes by the least-count rule.  The leading
+    level is a slot's major digit: in a block ``j0..j1-1`` with ``w = (j1 -
+    j0) * s_j``, the level pair (l_i, l_j) of pair (i, j) is slot ``l_i * w
+    + l_j + P[j] - P[j0]``, where ``P[j]`` sums the orders of the columns
+    before ``j`` in its width block.  Read as ``(s_i, j1 - j0, s_j)``, the
+    counts of pair (i, j0 + k) are ``[:, k, :]``, in lexicographic level
+    order.  The copy, the leading column and the codes share the narrowest
+    dtype that holds every code, which is below ``s_i * (P[j0] + w) <=
+    top``.  No step allocates m^2 cells: a block holds about 64k cells, and
+    the rest is O(m).
     """
     n, m = a.shape
     if n == 0 or m == 0:
@@ -444,38 +445,34 @@ def check_oa(a: LevelArray) -> Verdict:
         return Verdict(True, "oa")
     s = np.array([g.order for g in a.groups], dtype=np.int64)
     width = _block_width(n)
-    runs = None
-    if s.min() != s.max():
-        runs = [m] * m
-        for j in range(m - 2, -1, -1):
-            runs[j] = runs[j + 1] if s[j] == s[j + 1] else j + 1
-    scaled_by = {}  # leading order -> the layout scaled by it
+    runs = [m] * m
+    for j in range(m - 2, -1, -1):
+        runs[j] = runs[j + 1] if s[j] == s[j + 1] else j + 1
+    layout = None
     for i in range(m - 1):
         si = int(s[i])
         col = None
         for j0, j1 in _spans(i + 1, m, width, runs):
             sj = int(s[j0])
-            size = si * sj
-            if n % size:
+            want, rem = divmod(n, si * sj)
+            if rem:
                 return Verdict(
                     False,
                     "oa",
                     f"{n} rows not divisible by {si}*{sj} level combinations",
                     {"columns": (i, j0)},
                 )
+            if layout is None:
+                layout, before = _block_layout(a.data, s, width)
             if col is None:
-                if si not in scaled_by:
-                    scaled_by[si], before = _block_layout(a.data, s, width)
-                    scaled_by[si] *= si
-                scaled = scaled_by[si]
-                col = a.data[:, i].astype(scaled.dtype)
-            codes = scaled[j0:j1] + (col - int(si * before[j0]))
-            counts = np.bincount(codes.ravel(), minlength=(j1 - j0) * size)
-            want = n // size
+                col = a.data[:, i].astype(layout.dtype)
+            w = (j1 - j0) * sj
+            codes = layout[j0:j1] + col * w
+            counts = np.bincount(codes.ravel(), minlength=before[j0] + si * w)[before[j0]:]
             if counts.min() == want:
                 continue
-            k = int(np.argmax(counts != want)) // size
-            cell = counts[k * size:(k + 1) * size].reshape(sj, si).T.ravel()
+            k = int(np.argmax((counts.reshape(si, -1, sj) != want).any(axis=(0, 2))))
+            cell = counts.reshape(si, -1, sj)[:, k].ravel()
             code = int(np.argmax(cell != want))
             return Verdict(
                 False,
@@ -719,14 +716,17 @@ def _check_indices(
     ``int`` would change are refused.  Indices into the elements of an
     ``alphabet`` name the first one out of range and the alphabet."""
     idx = tuple(idx)
-    if idx and (min(idx) < 0 or max(idx) >= bound):
-        if alphabet is None:
-            raise ValueError(f"{what} index out of range")
-        bad = next(v for v in idx if not 0 <= v < bound)
-        raise ValueError(f"{what} {bad} is outside its alphabet {alphabet.describe()}")
-    out = tuple(map(int, idx))
+    try:
+        out = tuple(map(int, idx))
+    except (TypeError, ValueError, OverflowError):
+        out = None
     if out != idx:
         raise ValueError(f"non-integral {what} index")
+    if out and (min(out) < 0 or max(out) >= bound):
+        if alphabet is None:
+            raise ValueError(f"{what} index out of range")
+        bad = next(v for v in out if not 0 <= v < bound)
+        raise ValueError(f"{what} {bad} is outside its alphabet {alphabet.describe()}")
     if len(set(out)) != len(out):
         raise ValueError(f"{what} indices must be distinct, got a duplicate")
     return out

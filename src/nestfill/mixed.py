@@ -45,6 +45,7 @@ from .algebra import (
 from .arrays import (
     LevelArray,
     NestedPair,
+    _check_indices,
     _Owned,
     require,
     subcols,
@@ -65,7 +66,7 @@ def _validate_blocks(parent: LevelArray, blocks, kind: str, what: str) -> list:
     columns of ``parent`` in order, their alphabets' primes are distinct (Z_6
     and the like carry none and are left to the gates), and every block
     passes as ``kind``."""
-    blocks = [(tuple(cols), block) for cols, block in blocks]
+    blocks = [(_check_indices(cols, parent.n_cols, "block column"), block) for cols, block in blocks]
     cells = [c for cols, _ in blocks for c in cols]
     if cells != list(range(parent.n_cols)) or not all(cols for cols, _ in blocks):
         raise ValueError("blocks must partition the parent columns in order without overlap")

@@ -224,13 +224,10 @@ def strat_counts(
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
         raise ValueError("empty design")
-    g1, g2 = grid
-    if g1 < 1 or g2 < 1:
-        raise ValueError("grid dimensions must be at least 1")
-    j, k = cols
-    a = np.minimum((points[:, j] * g1).astype(np.int64), g1 - 1)
-    b = np.minimum((points[:, k] * g2).astype(np.int64), g2 - 1)
-    return np.bincount(a * g2 + b, minlength=g1 * g2).reshape(g1, g2)
+    g1, g2 = (_integer(g, "grid dimension", 1) for g in grid)
+    j, k = (_integer(c, "column") for c in cols)
+    a, b = _strata(points[:, [j, k]], (g1, g2)).data.T
+    return np.bincount(a * np.int64(g2) + b, minlength=g1 * g2).reshape(g1, g2)
 
 
 def is_uniform(counts: np.ndarray) -> bool:
@@ -239,7 +236,7 @@ def is_uniform(counts: np.ndarray) -> bool:
 
 def _strata(points: np.ndarray, orders: Sequence[int]) -> LevelArray:
     """The design binned into its level grid: column ``j`` over Z_{s_j},
-    cell ``min(floor(x * s_j), s_j - 1)`` as :func:`strat_counts` bins it."""
+    cell ``min(floor(x * s_j), s_j - 1)``; :func:`strat_counts` counts it."""
     s = np.asarray(orders, dtype=INDEX_DTYPE)
     cells = np.minimum((points * s).astype(INDEX_DTYPE), s - 1)
     return LevelArray(tuple(ResidueGroup(int(k)) for k in s), _Owned(cells))

@@ -365,6 +365,15 @@ def test_indices_refuse_non_integral_values(gf4):
         NestedPair(d, (0.5, 1.5), (ident,) * 4)
 
 
+def test_indices_that_are_not_numbers_are_non_integral(gf4):
+    """An index ``int`` cannot read, or reads as another value, is refused
+    before any range check compares it."""
+    d = mult_table(gf4)
+    for bad in (["x"], [None], ["0"], [float("inf")], [float("nan")]):
+        with pytest.raises(ValueError, match="^non-integral row index$"):
+            subrows(d, bad)
+
+
 # ---------------------------------------------------------------------------
 # nested pairs
 # ---------------------------------------------------------------------------

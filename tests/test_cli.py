@@ -220,6 +220,22 @@ def test_thm7_plan_file(tmp_path):
     assert run("construct", "thm7", f"plan={path}", "--out", str(tmp_path / "p")) == 0
 
 
+@pytest.mark.parametrize(
+    "cols, code, says",
+    [([0.0], 0, None), (["0"], 2, "non-integral block column index"), ([None], 2, "non-integral block column index")],
+    ids=["float", "text", "null"],
+)
+def test_plan_block_columns_are_indices(tmp_path, capsys, cols, code, says):
+    """Plan columns are read as index sequences: ``0.0`` is column 0, and
+    text or null exits 2 naming the index, not 1 with a traceback."""
+    blocks = [{"cols": cols, "ref": "d_12_6_6"}, {"cols": [1], "ref": "seberry_12_12_4"}]
+    (tmp_path / "plan.json").write_text(json.dumps({"parent": "ex12_noa", "blocks": blocks}))
+    capsys.readouterr()
+    assert run("construct", "thm7", f"plan={tmp_path / 'plan.json'}", "--out", str(tmp_path / "p")) == code
+    if says is not None:
+        assert capsys.readouterr().err == f"error: {says}\n"
+
+
 def test_validation_writes_full_and_shared(tmp_path):
     prefix = str(tmp_path / "vp")
     assert run("construct", "validation", "m=2", "--out", prefix) == 0

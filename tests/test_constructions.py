@@ -37,7 +37,7 @@ from nestfill.arrays import (
     subrows,
 )
 from nestfill.catalog import catalog_get
-from nestfill.nsfd import nested_design, oa_lhd, relabel, to_design
+from nestfill.nsfd import nested_design, oa_lhd, relabel, strat_counts, to_design
 from nestfill.constructions import (
     _crossed,
     full_factorial,
@@ -740,6 +740,10 @@ INTEGER_ARGUMENTS = [
     ("oa_lhd", "seed", lambda v: oa_lhd(relabel(zero_sum_noa(4, 2)), v), 0),
     ("to_design", "seed", lambda v: to_design(np.array([[1], [2]]), seed=v), 0),
     ("nested_design", "seed", lambda v: nested_design(zero_sum_noa(4, 2), seed=v), 0),
+    ("strat_counts", "grid dimension", lambda v: strat_counts(np.full((4, 2), 0.5), (0, 1), (2, v)), 1),
+    ("strat_counts", "column", lambda v: strat_counts(np.full((4, 2), 0.5), (0, v), (2, 2)), None),
+    ("field_make", "characteristic", lambda v: field_make(v, 3, "x^3+x+1"), 2),
+    ("field_make", "extension degree", lambda v: field_make(2, v, "x^3+x+1"), 1),
 ]
 
 

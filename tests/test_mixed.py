@@ -91,6 +91,17 @@ def test_shared_primes_rejected(gf4, gf8):
         ww_from_noas(noa, [((0,), mult_table(gf4)), ((1,), mult_table(gf8))])
 
 
+def test_block_columns_take_the_index_intake():
+    """Block columns are read as other index sequences are: ``0.0`` is
+    column 0, and text or None is a non-integral index, not a partition
+    failure or a ``TypeError``."""
+    noa, (six, twelve) = _ex12_inputs()
+    assert ww_from_noas(noa, [((0.0,), six[1]), twelve]) == ww_from_noas(noa, [six, twelve])
+    for bad in ("0", None):
+        with pytest.raises(ValueError, match="^non-integral block column index$"):
+            ww_from_noas(noa, [((bad,), six[1]), twelve])
+
+
 def test_blocks_must_cover_columns():
     noa, blocks = _ex12_inputs()
     with pytest.raises(ValueError, match="partition"):

@@ -496,6 +496,20 @@ def test_codes_on_each_side_of_the_int16_bound_match_reference(make, arg, dtype)
     assert set(dtypes) == {np.dtype(dtype)}
 
 
+def test_one_layout_per_call_whatever_the_orders():
+    """``check_oa`` makes one column-major copy per call and scales none of
+    it, so an array of three column orders is laid out once, not once per
+    leading order, and its verdict and witness stay the reference's."""
+    a = _mixed((2, 3, 2, 4, 3))
+    planted = LevelArray(a.groups, _late_swap(a.data, 3, 4))
+    with mock.patch.object(arrays, "_block_layout", wraps=arrays._block_layout) as spy:
+        assert check_oa(a)
+        assert spy.call_count == 1
+        v = check_oa(planted)
+        assert spy.call_count == 2
+    assert v.witness["columns"] == (3, 4) and v == reference_verdict(planted, "oa")
+
+
 # ---------------------------------------------------------------------------
 # check_dm's two kernels and the size rule between them
 # ---------------------------------------------------------------------------
