@@ -25,23 +25,25 @@ Representation conventions, used everywhere in the package:
 Index tables are the single arithmetic core.  ``add_table``, ``neg_table``,
 ``sub_table`` and, for fields, ``mul_table`` are cached read-only arrays
 over element indices; constructions, projections and verifiers all work on
-them.  ``GfElem`` and the scalar ``add``/``neg`` methods of every alphabet
-(and ``Field.mul``) are views for the API and file edges, where single
-elements are parsed, printed or compared; they are the only scalar entry
-points.  Each projection builder has one argument spelling:
+them.  An alphabet keeps only its order and its text: ``parse`` reads one
+text as an index and ``text_at`` writes the text of one index.  Single
+field elements are added, negated and multiplied by ``Field.add``, ``neg``
+and ``mul`` on ``GfElem`` values, the only scalar entry points.  Each
+projection builder has one argument spelling:
 ``truncation(f1, f2)`` and ``modulus(f1, f2)`` take two ``Field`` objects,
 ``residue(s, a)`` two integer orders, ``component(g, which)`` a
 ``ProductGroup`` and a position, and ``product_projection(parts)`` one
 projection per component.  Each keeps one validated object per distinct
 argument, like the tables (a numpy integer is the int it equals); refusals
-are not cached, so a bad argument raises on every call.  ``texts_at`` and ``parse_indices`` are the
-text edge, so files are read and written one lookup per cell: through
-``text_codec``, per alphabet the canonical text of every index and the map
-back, except in a residue ring, whose cells are decimal integers read and
-written directly.  ``arrays._parse_grid`` reads every grid of cell texts
-through them and sends only the cells no lookup reads to
-``Group.parse_index``, the element path.  ``DEFAULT_IRREDUCIBLES`` sits next
-to ``field_make``, its only reader.
+are not cached, so a bad argument raises on every call.  ``texts_at`` and
+``parse_indices`` are the text edge, so files are read and written one
+lookup per cell: through ``text_codec`` in a field, which lists the
+canonical text of every index and the map back; as decimal integers in a
+residue ring; and by components in a product, whose cells are split and
+joined by one parenthesis rule, so only fields are ever listed.
+``arrays._parse_grid`` reads every grid of cell texts through them and
+sends only the cells no lookup reads to ``Group.parse_index``.
+``DEFAULT_IRREDUCIBLES`` sits next to ``field_make``, its only reader.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -441,52 +443,38 @@ def field_make(
 class Group:
     """Base class for the finite abelian alphabets.
 
-    Subclasses are frozen dataclasses, so alphabets compare and hash by
-    structure and can key caches of precomputed operation tables.
+    An alphabet is its order, its text and the index tables built on it
+    (``add_table`` and the rest): ``parse`` reads one text as an element
+    index and ``text_at`` writes the text of one index; it has no element
+    objects of its own.  Subclasses are frozen dataclasses, so
+    alphabets compare and hash by structure and can key caches of
+    precomputed operation tables.
     """
 
     @property
     def order(self) -> int:
         raise NotImplementedError
 
-    def element(self, index: int):
+    def parse(self, text: str) -> int:
+        """Index of the element spelled ``text``; raises for bad text."""
         raise NotImplementedError
-
-    def index(self, e) -> int:
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def text(self, e) -> str:
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
-    def elements(self) -> list:
-        return [self.element(i) for i in range(self.order)]
-
-    def text_at(self, index: int) -> str:
-        """Canonical text of the element at ``index``."""
-        texts = text_codec(self)[0]
-        if 0 <= index < len(texts):
-            return texts[index]
-        return self.text(self.element(index))  # raises the out-of-range error
-
-    def parse_index(self, text: str) -> int:
-        """Index of the element spelled ``text`` (``1+x``, ``x^1``, ``07``),
-        by the element path ``index(parse(text))``, which raises for bad
-        text.  Files and row labels go through ``arrays._parse_grid``."""
-        if not isinstance(text, str):
-            raise ValueError(f"{text!r} is not element text")
-        return self.index(self.parse(text))
 
     def describe(self) -> str:
         raise NotImplementedError
+
+    def text_at(self, index: int) -> str:
+        """Canonical text of the element at ``index``."""
+        if not 0 <= index < self.order:
+            raise ValueError(f"element index {index} out of range for {self.describe()}")
+        return texts_at(self, np.array([index]))[0]
+
+    def parse_index(self, text: str) -> int:
+        """Index of the element spelled ``text`` (``1+x``, ``x^1``, ``07``)
+        by ``parse``, which raises for bad text.  Files and row labels go
+        through ``arrays._parse_grid``."""
+        if not isinstance(text, str):
+            raise ValueError(f"{text!r} is not element text")
+        return self.parse(text)
 
 
 @dataclass(frozen=True)
@@ -499,23 +487,8 @@ class GaloisGroup(Group):
     def order(self) -> int:
         return self.field.order
 
-    def element(self, index: int) -> GfElem:
-        return self.field.element(index)
-
-    def index(self, e: GfElem) -> int:
-        return self.field.index(e)
-
-    def add(self, a: GfElem, b: GfElem) -> GfElem:
-        return self.field.add(a, b)
-
-    def neg(self, a: GfElem) -> GfElem:
-        return self.field.neg(a)
-
-    def text(self, e: GfElem) -> str:
-        return self.field.text(e)
-
-    def parse(self, text: str) -> GfElem:
-        return self.field.parse(text)
+    def parse(self, text: str) -> int:
+        return self.field.index(self.field.parse(text))
 
     def describe(self) -> str:
         return f"GF({self.order})"
@@ -536,34 +509,11 @@ class ResidueGroup(Group):
     def order(self) -> int:
         return self.modulus
 
-    def element(self, index: int) -> int:
-        if not 0 <= index < self.modulus:
-            raise ValueError(f"element index {index} out of range for Z_{self.modulus}")
-        return index
-
-    def index(self, e: int) -> int:
-        if not isinstance(e, (int, np.integer)) or not 0 <= e < self.modulus:
-            raise ValueError(f"{e!r} is not an element of Z_{self.modulus}")
-        return int(e)
-
-    def add(self, a: int, b: int) -> int:
-        return (self.index(a) + self.index(b)) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return (-self.index(a)) % self.modulus
-
-    def text(self, e: int) -> str:
-        return str(self.index(e))
-
     def parse(self, text: str) -> int:
         v = int(text)
         if not 0 <= v < self.modulus:
             raise ValueError(f"{text!r} is not an element of Z_{self.modulus}")
         return v
-
-    def text_at(self, index: int) -> str:
-        """The decimal digits of ``index``; Z_s is never listed."""
-        return self.text(self.element(index))
 
     def describe(self) -> str:
         return f"Z_{self.modulus}"
@@ -574,7 +524,9 @@ class ProductGroup(Group):
     """Direct product of group alphabets, componentwise addition.
 
     Enumeration is lexicographic with the last component varying fastest,
-    matching two-digit renderings like ``01``, ``15`` or ``x1``.
+    matching two-digit renderings like ``01``, ``15`` or ``x1``: a
+    component's text stands as it is when it is one character long and in
+    parentheses otherwise, as in ``(x+1)2``.
     """
 
     components: tuple[Group, ...]
@@ -590,74 +542,56 @@ class ProductGroup(Group):
     def order(self) -> int:
         return math.prod(g.order for g in self.components)
 
-    def element(self, index: int) -> tuple:
-        if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range for {self.describe()}")
-        parts = []
-        for g in reversed(self.components):
-            parts.append(g.element(index % g.order))
-            index //= g.order
-        return tuple(reversed(parts))
-
-    def index(self, e: tuple) -> int:
-        if not isinstance(e, tuple) or len(e) != len(self.components):
-            raise ValueError(f"{e!r} is not an element of {self.describe()}")
+    def parse(self, text: str) -> int:
         idx = 0
-        for g, part in zip(self.components, e):
-            idx = idx * g.order + g.index(part)
+        for g, part in _parts(self, text):
+            idx = idx * g.order + g.parse(part)
         return idx
-
-    def add(self, a: tuple, b: tuple) -> tuple:
-        self.index(a), self.index(b)
-        return tuple(g.add(x, y) for g, x, y in zip(self.components, a, b))
-
-    def neg(self, a: tuple) -> tuple:
-        self.index(a)
-        return tuple(g.neg(x) for g, x in zip(self.components, a))
-
-    def text(self, e: tuple) -> str:
-        self.index(e)
-        parts = []
-        for g, part in zip(self.components, e):
-            t = g.text(part)
-            parts.append(f"({t})" if len(t) > 1 else t)
-        return "".join(parts)
-
-    def parse(self, text: str) -> tuple:
-        parts, pos = [], 0
-        for g in self.components:
-            if pos >= len(text):
-                raise ValueError(f"{text!r} is too short for {self.describe()}")
-            if text[pos] == "(":
-                depth, end = 1, pos + 1
-                while end < len(text) and depth:
-                    depth += {"(": 1, ")": -1}.get(text[end], 0)
-                    end += 1
-                if depth:
-                    raise ValueError(f"unbalanced parentheses in {text!r}")
-                parts.append(g.parse(text[pos + 1 : end - 1]))
-                pos = end
-            else:
-                parts.append(g.parse(text[pos]))
-                pos += 1
-        if pos != len(text):
-            raise ValueError(f"trailing characters in {text!r} for {self.describe()}")
-        return tuple(parts)
 
     def describe(self) -> str:
         return "x".join(g.describe() for g in self.components)
 
 
+def _parts(g: ProductGroup, text: str):
+    """Each component of ``g`` with its text in the product cell ``text``,
+    in order, one at a time, so a bad component raises before the rest of
+    the cell is split."""
+    pos = 0
+    for c in g.components:
+        if pos >= len(text):
+            raise ValueError(f"{text!r} is too short for {g.describe()}")
+        if text[pos] == "(":
+            depth, end = 1, pos + 1
+            while end < len(text) and depth:
+                depth += {"(": 1, ")": -1}.get(text[end], 0)
+                end += 1
+            if depth:
+                raise ValueError(f"unbalanced parentheses in {text!r}")
+            yield c, text[pos + 1 : end - 1]
+            pos = end
+        else:
+            yield c, text[pos]
+            pos += 1
+    if pos != len(text):
+        raise ValueError(f"trailing characters in {text!r} for {g.describe()}")
+
+
 @lru_cache(maxsize=None)
-def text_codec(g: Group) -> tuple[tuple[str, ...], Mapping[str, int]]:
-    """Canonical text of every element of ``g`` by index, and the read-only
-    inverse map from text to index; the text edge of the index tables.
-    Built once per alphabet through the element path, ``text(element(i))``.
-    A residue ring, whose texts are its decimal values, needs no codec:
-    ``texts_at`` and ``parse_indices`` read and write it directly, so a
-    Z_s of order up to ``MAX_ORDER`` is never listed."""
-    texts = tuple(g.text(g.element(i)) for i in range(g.order))
+def text_codec(g: GaloisGroup) -> tuple[tuple[str, ...], Mapping[str, int]]:
+    """Canonical text of every element of the field alphabet ``g`` by index,
+    and the read-only inverse map from text to index; the text edge of the
+    index tables, built once per field from its coefficient vectors.  Only
+    a field is listed: ``texts_at`` and ``parse_indices`` read and write a
+    residue ring's decimal values directly and a product's cells by
+    components, so no Z_s or product of order up to ``MAX_ORDER`` is
+    listed."""
+    f = _of_kind(g, GaloisGroup, "a text codec").field
+    texts = tuple(map(poly_text, _vectors(f.p, f.u).tolist()))
     return texts, MappingProxyType({t: i for i, t in enumerate(texts)})
+
+
+def _wrapped(text: str) -> str:
+    return f"({text})" if len(text) > 1 else text
 
 
 def texts_at(g: Group, idx: np.ndarray) -> np.ndarray:
@@ -665,6 +599,10 @@ def texts_at(g: Group, idx: np.ndarray) -> np.ndarray:
     dimension, all in range), as an object array."""
     if isinstance(g, ResidueGroup):
         return np.array(list(map(str, idx.tolist())), dtype=object)
+    if isinstance(g, ProductGroup):
+        digits = np.unravel_index(idx, [c.order for c in g.components])
+        parts = [map(_wrapped, texts_at(c, d)) for c, d in zip(g.components, digits)]
+        return np.array(list(map("".join, zip(*parts))), dtype=object)
     return np.array(text_codec(g)[0], dtype=object)[idx]
 
 
@@ -676,11 +614,29 @@ def _residue_or_miss(s: int, text: str) -> int:
     return v if 0 <= v < s else -1
 
 
+def _split_or_miss(g: ProductGroup, text: str) -> list[str]:
+    """The component texts of the product cell ``text``, or ``""``, which no
+    lookup reads, for each component of a cell that does not split."""
+    if isinstance(text, str):
+        try:
+            return [part for _, part in _parts(g, text)]
+        except ValueError:
+            pass
+    return [""] * len(g.components)
+
+
 def parse_indices(g: Group, texts: Sequence[str]) -> np.ndarray:
     """``INDEX_DTYPE`` index of each of ``texts`` that one lookup reads,
     and -1 for the rest, which ``g.parse_index`` resolves or refuses.  A
-    lookup reads the canonical texts of the codec, or, in Z_s, every
-    spelling ``int`` reads as a value below s."""
+    lookup reads the canonical texts of a field's codec, or, in Z_s, every
+    spelling ``int`` reads as a value below s; a product cell is split into
+    its components' texts, and is read when every component is."""
+    if isinstance(g, ProductGroup):
+        idx = np.zeros(len(texts), dtype=np.int64)
+        for c, parts in zip(g.components, zip(*map(_split_or_miss, repeat(g), texts))):
+            part = parse_indices(c, parts)
+            idx = np.where((idx < 0) | (part < 0), -1, idx * c.order + part)
+        return idx.astype(INDEX_DTYPE)
     if isinstance(g, ResidueGroup):
         read = map(_residue_or_miss, repeat(g.modulus), texts)
     else:

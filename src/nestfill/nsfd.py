@@ -220,13 +220,20 @@ def nested_design(
 def strat_counts(
     points: np.ndarray, cols: tuple[int, int], grid: tuple[int, int]
 ) -> np.ndarray:
-    """Occupancy counts of the bivariate projection on a g1 x g2 grid."""
+    """Occupancy counts of the bivariate projection on a g1 x g2 grid.  A
+    point that is NaN or outside [0, 1] is refused, naming its row and
+    column in ``points``."""
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
         raise ValueError("empty design")
     g1, g2 = (_integer(g, "grid dimension", 1) for g in grid)
     j, k = (_integer(c, "column") for c in cols)
-    a, b = _strata(points[:, [j, k]], (g1, g2)).data.T
+    pair = points[:, [j, k]]
+    bad = np.argwhere(~((pair >= 0) & (pair <= 1)))  # NaN fails both
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"point at row {r}, column {(j, k)[c]} is {pair[r, c]}, outside [0, 1]")
+    a, b = _strata(pair, (g1, g2)).data.T
     return np.bincount(a * np.int64(g2) + b, minlength=g1 * g2).reshape(g1, g2)
 
 

@@ -36,6 +36,12 @@ reference = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(reference)
 
 
+def reference_alphabet(g):
+    """The reference alphabet of ``g``: its own canonical texts and its
+    add and neg tables, built without nestfill's tables or codec."""
+    return reference.alphabet(group_to_dict(g))
+
+
 def _text(g, index: int) -> str:
     spec = group_to_dict(g)  # a residue ring's text is its value: no Z_s table is built
     return str(index) if spec["kind"] == "zmod" else reference.alphabet(spec).text(index)

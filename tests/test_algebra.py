@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_alphabet
 from nestfill.algebra import (
     Field,
     GaloisGroup,
@@ -183,31 +184,41 @@ def test_element_text_round_trip_gf81(idx):
 # ---------------------------------------------------------------------------
 
 
+def _sum_text(g, a: str, b: str) -> str:
+    """Text of ``a + b`` through ``add_table``, checked against the reference."""
+    ref = reference_alphabet(g)
+    want = ref.text(ref.add[ref.parse(a), ref.parse(b)])
+    got = g.text_at(add_table(g)[g.parse(a), g.parse(b)])
+    assert got == want
+    return got
+
+
 def test_residue_group_add():
     z12 = ResidueGroup(12)
-    assert z12.add(7, 8) == 3
+    assert _sum_text(z12, "7", "8") == "3"
 
 
 def test_product_group_add_and_text():
     pg = ProductGroup((ResidueGroup(2), ResidueGroup(6)))
-    a, b = pg.parse("15"), pg.parse("15")
-    assert pg.text(pg.add(a, b)) == "04"
+    assert _sum_text(pg, "15", "15") == "04"
     # componentwise: (1+1 mod 2, 5+1 mod 6) = (0, 0)
-    assert pg.text(pg.add(pg.parse("15"), pg.parse("11"))) == "00"
+    assert _sum_text(pg, "15", "11") == "00"
     z2sq = ProductGroup((ResidueGroup(2), ResidueGroup(2)))
-    assert z2sq.text(z2sq.add(z2sq.parse("01"), z2sq.parse("11"))) == "10"
+    assert _sum_text(z2sq, "01", "11") == "10"
 
 
 def test_product_group_enumeration_last_component_fastest():
     pg = ProductGroup((ResidueGroup(2), ResidueGroup(3)))
-    assert [pg.text(pg.element(i)) for i in range(6)] == ["00", "01", "02", "10", "11", "12"]
+    want = ["00", "01", "02", "10", "11", "12"]
+    assert [pg.text_at(i) for i in range(6)] == want
+    assert [reference_alphabet(pg).text(i) for i in range(6)] == want
 
 
 def test_product_group_parenthesized_text(gf4):
     pg = ProductGroup((GaloisGroup(gf4), ResidueGroup(3)))
-    e = (gf4.parse("x+1"), 2)
-    assert pg.text(e) == "(x+1)2"
-    assert pg.parse("(x+1)2") == e
+    i = GaloisGroup(gf4).parse("x+1") * 3 + 2  # last component fastest
+    assert pg.text_at(i) == reference_alphabet(pg).text(i) == "(x+1)2"
+    assert pg.parse("(x+1)2") == i
 
 
 def test_galois_group_matches_z2_square(gf4):
@@ -222,14 +233,15 @@ def test_galois_group_matches_z2_square(gf4):
 # ---------------------------------------------------------------------------
 
 
-def image(spec, e):
-    """Image of element ``e`` under ``spec``, through its table."""
-    return spec.target.element(spec.table[spec.source.index(e)])
+def image(spec, text: str) -> str:
+    """Text of the image of the element spelled ``text`` under ``spec``,
+    through its table."""
+    return spec.target.text_at(spec.table[spec.source.parse(text)])
 
 
 def test_truncation_example(gf8, gf4):
     phi = truncation(gf8, gf4)
-    assert gf4.text(image(phi, gf8.parse("x^2+1"))) == "1"
+    assert image(phi, "x^2+1") == "1"
     fibers = {}
     for i in range(8):
         fibers.setdefault(phi.table[i], []).append(phi.source.text_at(i))
@@ -239,13 +251,13 @@ def test_truncation_example(gf8, gf4):
 
 def test_modulus_example(gf8, gf4):
     var = modulus(gf8, gf4)
-    assert gf4.text(image(var, gf8.parse("x^2"))) == "x+1"
-    assert gf4.text(image(var, gf8.parse("x^2+x+1"))) == "0"
+    assert image(var, "x^2") == "x+1"
+    assert image(var, "x^2+x+1") == "0"
 
 
 def test_residue_example():
     r = residue(6, 3)
-    assert image(r, 4) == 1
+    assert image(r, "4") == "1"
 
 
 def test_residue_requires_divisor():
@@ -256,13 +268,13 @@ def test_residue_requires_divisor():
 def test_component_selection():
     pg = ProductGroup((ResidueGroup(2), ResidueGroup(6)))
     sel = component(pg, 1)
-    assert image(sel, (1, 4)) == 4
+    assert image(sel, "14") == "4"
 
 
 def test_projection_outside_source_rejected(gf8, gf4):
     phi = truncation(gf8, gf4)
     with pytest.raises(ValueError):
-        image(phi, gf4.parse("x"))
+        image(phi, "x^3")  # an element of GF(16), not of the source GF(8)
 
 
 @pytest.mark.parametrize(
@@ -343,8 +355,9 @@ def test_rho_of_sum():
 def test_identity_projection_round_trip(gf8):
     g = GaloisGroup(gf8)
     ident = identity_projection(g)
-    for e in gf8.elements():
-        assert image(ident, e) == e
+    ref = reference_alphabet(g)
+    for i in range(g.order):
+        assert image(ident, ref.text(i)) == ref.text(i)
 
 
 def test_projection_table_is_built_once_and_read_only(gf8):
@@ -524,12 +537,14 @@ def small_products(draw):
 @given(small_products())
 def test_product_tables_match_element_path(drawn):
     pg, parts = drawn
-    elems = [pg.element(i) for i in range(pg.order)]
-    assert add_table(pg).tolist() == [[pg.index(pg.add(a, b)) for b in elems] for a in elems]
-    for which, g in enumerate(pg.components):
-        assert list(component(pg, which).table) == [g.index(e[which]) for e in elems]
+    assert add_table(pg).tolist() == reference_alphabet(pg).add.tolist()
+    # the component indices of every element, last component fastest
+    elems = list(itertools.product(*[range(g.order) for g in pg.components]))
+    for which in range(len(pg.components)):
+        assert list(component(pg, which).table) == [e[which] for e in elems]
     proj = product_projection(parts)
-    assert list(proj.table) == [proj.target.index(tuple(image(p, x) for p, x in zip(parts, e))) for e in elems]
+    want = [np.ravel_multi_index([p.table[x] for p, x in zip(parts, e)], [p.target.order for p in parts]) for e in elems]
+    assert list(proj.table) == want
     ff = full_factorial(pg.components)
     assert ff.data.tolist() == [list(t) for t in itertools.product(*[range(g.order) for g in pg.components])]
 

@@ -1,10 +1,11 @@
-"""The per-alphabet text codec and the file formats built on it.
+"""The text edge of the alphabets and the file formats built on it.
 
-The element path (``text(element(i))`` and ``index(parse(text))``) stays the
-reference: every answer of the reader ``arrays._parse_grid`` (the codec
-lookup of ``parse_indices``, then ``parse_index`` for the rest) is compared
-with it, canonical texts for every index of every alphabet here, and random
-spellings drawn by Hypothesis.
+Canonical texts come from the reference alphabets of ``bench/reference.py``,
+which list every element on their own: ``texts_at``, ``text_at``, a field's
+``text_codec`` and the reader ``arrays._parse_grid`` (the lookups of
+``parse_indices``, then ``parse_index`` for the rest) are compared with them
+for every index of every alphabet here.  Other spellings, canonical or not,
+drawn by hand and by Hypothesis, are checked against ``parse`` on one text.
 Written files are pinned by SHA-1 digests taken before the codec existed.
 """
 
@@ -14,12 +15,14 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_alphabet
 from nestfill import algebra
 from nestfill.algebra import (
     DEFAULT_IRREDUCIBLES,
@@ -29,6 +32,7 @@ from nestfill.algebra import (
     ResidueGroup,
     field_make,
     text_codec,
+    texts_at,
 )
 from nestfill.arrays import FormatError, LevelArray, _parse_grid, read_array_csv, write_array_csv
 from nestfill.cli import main
@@ -58,13 +62,15 @@ def _read(g, texts):
 
 @pytest.mark.parametrize("g", GROUPS, ids=_ids(GROUPS))
 def test_codec_matches_element_path(g):
-    texts, index = text_codec(g)
-    assert len(texts) == len(index) == g.order
-    for i in range(g.order):
-        t = g.text(g.element(i))
-        assert texts[i] == g.text_at(i) == t
-        assert g.index(g.parse(t)) == i
+    ref = reference_alphabet(g)
+    texts = [ref.text(i) for i in range(g.order)]
+    assert texts_at(g, np.arange(g.order)).tolist() == texts
+    assert [g.text_at(i) for i in range(g.order)] == texts
+    assert [g.parse(t) for t in texts] == list(range(g.order))
     assert _read(g, texts) == list(range(g.order))
+    if isinstance(g, GaloisGroup):
+        codec, index = text_codec(g)
+        assert list(codec) == texts and dict(index) == {t: i for i, t in enumerate(texts)}
 
 
 SOME = [FIELDS[0], RESIDUES[2], PRODUCTS[0]]
@@ -73,13 +79,13 @@ SOME = [FIELDS[0], RESIDUES[2], PRODUCTS[0]]
 @pytest.mark.parametrize("g", SOME, ids=_ids(SOME))
 def test_text_at_out_of_range_raises(g):
     for bad in (-1, g.order):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=rf"^element index {bad} out of range for {re.escape(g.describe())}$"):
             g.text_at(bad)
 
 
 def _reference_parse(g, text):
     try:
-        return g.index(g.parse(text))
+        return g.parse(text)
     except ValueError:
         return ValueError
 
@@ -209,25 +215,48 @@ def test_reader_accepts_non_canonical_cells_in_a_shared_alphabet(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# residue rings are read and written as decimal integers, never listed
+# only fields are listed: residue rings are read and written as decimal
+# integers, and products by components
 # ---------------------------------------------------------------------------
 
 ZMAX = ResidueGroup(MAX_ORDER)
 
 
 @pytest.fixture
-def no_residue_codec(monkeypatch):
-    """Fail any attempt to list the texts of a residue ring."""
+def only_fields_listed(monkeypatch):
+    """Fail any attempt to list the texts of an alphabet that is not a field."""
     real = algebra.text_codec
 
     def guarded(g):
-        assert not isinstance(g, ResidueGroup), f"listed {g.describe()}"
+        assert isinstance(g, GaloisGroup), f"listed {g.describe()}"
         return real(g)
 
     monkeypatch.setattr(algebra, "text_codec", guarded)
 
 
-def test_largest_residue_ring_round_trips_without_listing(tmp_path, no_residue_codec):
+@pytest.mark.parametrize("g", [Z6, PRODUCTS[2]], ids=_ids([Z6, PRODUCTS[2]]))
+def test_text_codec_lists_only_a_field(g):
+    with pytest.raises(ValueError, match=re.escape(f"a text codec needs a Galois field alphabet, not {g.describe()}")):
+        text_codec(g)
+
+
+def test_large_product_round_trips_without_listing(tmp_path, only_fields_listed):
+    z = ResidueGroup(46340)
+    big = ProductGroup((z, z))
+    last = big.order - 1
+    a = LevelArray((big, GF4), [[0, 1], [last, 3], [46341, 2], [46339, 0]])
+    want = [["00", "1"], ["(46339)(46339)", "x+1"], ["11", "x"], ["0(46339)", "0"]]
+    assert a.texts() == want
+    assert big.text_at(last) == "(46339)(46339)"
+    path = str(tmp_path / "a.csv")
+    write_array_csv(path, a)
+    assert read_array_csv(path, a.groups) == a
+    assert big.parse_index("(0046339)(46339)") == last
+    with pytest.raises(ValueError, match="is not an element of Z_46340"):
+        big.parse_index("(46340)0")
+
+
+def test_largest_residue_ring_round_trips_without_listing(tmp_path, only_fields_listed):
     a = LevelArray((ZMAX, GF4, Z6), [[0, 1, 5], [MAX_ORDER - 1, 3, 0], [2**30, 2, 3]])
     want = [["0", "1", "5"], [str(MAX_ORDER - 1), "x+1", "0"], [str(2**30), "x", "3"]]
     assert a.texts() == want
@@ -245,14 +274,14 @@ def test_largest_residue_ring_round_trips_without_listing(tmp_path, no_residue_c
 
 
 def _reference_grid(groups, rows, where):
-    """Cell by cell through the element path, in column-major order."""
+    """Cell by cell through ``parse``, in column-major order."""
     for j, g in enumerate(groups):
         for r, row in enumerate(rows):
             try:
-                g.index(g.parse(row[j]))
+                g.parse(row[j])
             except ValueError as e:
                 return f"{where}: row {r + 1}, column {j + 1}: {e}"
-    return [[g.index(g.parse(t)) for g, t in zip(groups, row)] for row in rows]
+    return [[g.parse(t) for g, t in zip(groups, row)] for row in rows]
 
 
 RESIDUE_SPELLINGS = st.one_of(

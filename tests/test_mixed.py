@@ -260,12 +260,10 @@ def test_paired_dm_row_pairing(gf4):
     d = mixed_dm_lemma7(d1, d2, 2)
     i, j = 2, 1
     row = d.data[i * 3 + j]
-    pg = d.groups[0]
+    assert d.groups[0] == ProductGroup((GaloisGroup(gf4), GaloisGroup(f3)))
     for k in range(2):
-        assert pg.element(int(row[k])) == (
-            gf4.element(int(d1.data[i, k])),
-            f3.element(int(d2.data[j, k])),
-        )
+        # the product index, last component fastest
+        assert divmod(int(row[k]), f3.order) == (int(d1.data[i, k]), int(d2.data[j, k]))
 
 
 # ---------------------------------------------------------------------------

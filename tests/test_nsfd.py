@@ -284,6 +284,22 @@ def test_strat_counts_empty_design_rejected():
         strat_counts(np.empty((0, 2)), (0, 1), (2, 2))
 
 
+@pytest.mark.parametrize(
+    "value, says",
+    [
+        (np.nan, "nan"),
+        (-0.1, "-0.1"),
+        (1.5, "1.5"),
+        (-0.5, "-0.5"),
+    ],
+)
+def test_strat_counts_refuses_points_outside_the_unit_interval(value, says):
+    """Named by the point's row and column in the design, not in ``cols``."""
+    points = np.array([[0.2, 0.5, 0.3], [0.3, 0.6, value]])
+    with pytest.raises(ValueError, match=rf"^point at row 1, column 2 is {says}, outside \[0, 1\]$"):
+        strat_counts(points, (2, 1), (2, 2))
+
+
 def test_one_dimensional_balance(ex8_pair):
     nd = nested_design(ex8_pair, seed=8)
     n = nd.full.n_rows

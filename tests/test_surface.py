@@ -35,6 +35,12 @@ REMOVED = [
     *[(arrays.LevelArray, n) for n in ("entry", "entry_text", "row_texts")],
     *[(catalog, n) for n in ("default_irreducible", "_small_dm")],
     (algebra.ResidueGroup, "parse_index"),
+    # the scalar element path of the alphabets: Field keeps its own
+    *[
+        (cls, n)
+        for cls in (algebra.Group, algebra.GaloisGroup, algebra.ResidueGroup, algebra.ProductGroup)
+        for n in ("element", "index", "add", "neg", "text", "elements")
+    ],
     # second names of the exit-3 and exit-4 classes
     (constructions, "ConstructionError"),
     (arrays, "BundleFormatError"),
